@@ -80,8 +80,9 @@ fn quick_mode() -> bool {
 }
 
 /// Times `batched_row_minima` with the kernel selection pinned to `k`
-/// under a scoped guard (the pin is process-global; the guard restores
-/// the previous selection even if a timed scan panics).
+/// under a scoped guard (the pin is the calling thread's, where the
+/// scan runs; the guard restores the previous selection even if a
+/// timed scan panics).
 fn batched_ns_with<A: Array2d<i64>>(a: &A, k: Kernel, reps: usize) -> u128 {
     let _pin = kernel::scoped(k);
     time_ns(|| batched_row_minima(a), reps)

@@ -5,6 +5,8 @@
 //! and must degrade *per problem / per group* under injected panics
 //! and deadline exhaustion instead of failing the batch.
 
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use monge_conformance::gen::{generate, Instance};
@@ -33,13 +35,72 @@ fn mixed_instances(per_kind: u64, tag: u64) -> Vec<Instance> {
 /// every problem, for every kind, bitwise.
 #[test]
 fn batch_equals_guarded_loop_on_mixed_kind_corpus() {
+    batch_equals_guarded_loop(None);
+}
+
+/// The same differential inside a forced 4-thread pool — chunk
+/// workers holding the group's deadline token run concurrently whatever
+/// the host's core count — while a neighbor thread keeps solving a
+/// batch whose deadline has long expired. Neither the neighbor's token
+/// nor the corpus's own may cancel anything but its own request.
+#[test]
+fn batch_equals_guarded_loop_inside_a_4_thread_pool() {
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| starve_until(&stop));
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(4)
+                .build()
+                .unwrap()
+                .install(|| batch_equals_guarded_loop(Some(Duration::from_secs(60))));
+        }));
+        stop.store(true, Ordering::Relaxed);
+        if let Err(payload) = run {
+            std::panic::resume_unwind(payload);
+        }
+    });
+}
+
+/// Re-solves a one-member batch whose entry reads stall far past its
+/// 1 ms deadline until `stop` is set, so an expired token is live on
+/// this thread nearly all the time.
+fn starve_until(stop: &AtomicBool) {
+    let mut rng = StdRng::seed_from_u64(0x57A1_BA7C);
+    let slow = FaultInjector::new(
+        random_monge_dense(24, 24, &mut rng),
+        FaultPlan::none(13).latency(1000, Duration::from_millis(2)),
+        0i64,
+    );
+    let problems = [Problem::row_minima(&slow)];
+    let d = Dispatcher::with_default_backends();
+    let policy = BatchPolicy::default()
+        .with_guard(GuardPolicy {
+            validation: Validation::Off,
+            ..GuardPolicy::default()
+        })
+        .without_calibration()
+        .with_deadline(Duration::from_millis(1));
+    while !stop.load(Ordering::Relaxed) {
+        let report = d.solve_batch_report(&problems, &policy);
+        assert!(matches!(
+            report.results[0],
+            Err(SolveError::DeadlineExceeded { .. })
+        ));
+    }
+}
+
+fn batch_equals_guarded_loop(deadline: Option<Duration>) {
     let d = Dispatcher::with_default_backends();
     let insts = mixed_instances(6, 0xBA7C_0000);
     let problems: Vec<Problem<'_, i64>> = insts.iter().map(Instance::problem).collect();
     let guard = GuardPolicy::default();
-    let policy = BatchPolicy::default()
-        .with_guard(guard)
-        .without_calibration();
+    let policy = BatchPolicy {
+        deadline,
+        ..BatchPolicy::default()
+            .with_guard(guard)
+            .without_calibration()
+    };
 
     let report = d.solve_batch_report(&problems, &policy);
     assert!(

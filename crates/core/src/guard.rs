@@ -18,21 +18,20 @@
 //!
 //! Engines are deep recursion over `rayon::join`; threading a `Result`
 //! through every leaf would contaminate every signature. Instead a
-//! [`CancelToken`] is installed process-globally for the duration of a
-//! guarded solve ([`with_cancellation`]) and the engines call the
-//! free function [`checkpoint`] at recursion leaves and interval-scan
-//! boundaries. When the token is cancelled (explicitly or because its
-//! deadline passed), `checkpoint` panics with the private [`Cancelled`]
-//! sentinel; rayon propagates the panic to the joining caller, and the
-//! guarded dispatcher's `catch_unwind` boundary downcasts the payload
-//! to distinguish an orderly deadline abort from a genuine backend
-//! panic. When no token is installed, `checkpoint` is one relaxed
-//! atomic load — engines pay nothing outside guarded solves.
+//! guarded solve installs its [`CancelToken`] in the calling thread's
+//! solve context ([`crate::ctx::scope`]), the fork primitives of
+//! `monge_parallel::runtime` carry it to every child task, and the
+//! engines call the free function [`checkpoint`] at recursion leaves and
+//! interval-scan boundaries. When the token is cancelled (explicitly or
+//! because its deadline passed), `checkpoint` panics with the private
+//! [`Cancelled`] sentinel; rayon propagates the panic to the joining
+//! caller, and the guarded dispatcher's `catch_unwind` boundary
+//! downcasts the payload to distinguish an orderly deadline abort from a
+//! genuine backend panic. When no token is installed, `checkpoint` is
+//! one thread-local read — engines pay nothing outside guarded solves.
 //!
-//! Like the telemetry counters (see [`crate::problem::Telemetry`]), the
-//! installed token is process-global: concurrent guarded solves with
-//! different deadlines would observe each other's tokens. Tests and
-//! applications run guarded solves one at a time.
+//! The token is per request, not per process: concurrent guarded solves
+//! with different deadlines each see only their own.
 
 use crate::array2d::Array2d;
 use crate::monge::MongeViolation;
@@ -40,7 +39,7 @@ use crate::value::Value;
 use std::ops::Range;
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How much structure validation a guarded solve performs before
@@ -573,62 +572,18 @@ impl Default for CancelToken {
     }
 }
 
-static CANCEL_ACTIVE: AtomicBool = AtomicBool::new(false);
-static CURRENT_TOKEN: Mutex<Option<CancelToken>> = Mutex::new(None);
-
-struct CancelGuard {
-    prev: Option<CancelToken>,
-}
-
-impl CancelGuard {
-    fn install(token: CancelToken) -> Self {
-        let mut cur = CURRENT_TOKEN.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = cur.replace(token);
-        CANCEL_ACTIVE.store(true, Ordering::Relaxed);
-        CancelGuard { prev }
-    }
-}
-
-impl Drop for CancelGuard {
-    fn drop(&mut self) {
-        let mut cur = CURRENT_TOKEN.lock().unwrap_or_else(|e| e.into_inner());
-        *cur = self.prev.take();
-        CANCEL_ACTIVE.store(cur.is_some(), Ordering::Relaxed);
-    }
-}
-
-/// Runs `f` with `token` installed as the process-global cancellation
-/// token observed by [`checkpoint`]. The previous token (if any) is
-/// restored on exit, including panic unwinds.
-pub fn with_cancellation<R>(token: &CancelToken, f: impl FnOnce() -> R) -> R {
-    let _guard = CancelGuard::install(token.clone());
-    f()
-}
-
 /// The cooperative cancellation point the engines call at recursion
 /// leaves and interval-scan boundaries.
 ///
-/// Costs one relaxed atomic load when no token is installed. When the
-/// installed token has fired, panics with the [`Cancelled`] sentinel —
-/// only call this under a `catch_unwind` boundary that understands it
-/// (the guarded dispatcher's), or with no token installed.
+/// One thread-local read when no token is installed. When the calling
+/// thread's solve context ([`crate::ctx`]) holds a token that has
+/// fired, panics with the [`Cancelled`] sentinel — only call this under
+/// a `catch_unwind` boundary that understands it (the guarded
+/// dispatcher's), or with no token installed.
 #[inline]
 pub fn checkpoint() {
-    if CANCEL_ACTIVE.load(Ordering::Relaxed) {
-        checkpoint_slow();
-    }
-}
-
-#[cold]
-fn checkpoint_slow() {
-    let token = CURRENT_TOKEN
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
-    if let Some(t) = token {
-        if t.is_cancelled() {
-            panic_any(Cancelled);
-        }
+    if crate::ctx::cancelled() {
+        panic_any(Cancelled);
     }
 }
 
@@ -945,12 +900,43 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            with_cancellation(&token, checkpoint)
+            crate::ctx::scope(Some(token), crate::kernel::selected(), checkpoint)
         }));
         let payload = r.expect_err("cancelled token must fire");
         assert!(payload.downcast_ref::<Cancelled>().is_some());
-        // The guard was dropped during unwind: checkpoint is inert again.
+        // The scope was left during unwind: checkpoint is inert again.
         checkpoint();
+    }
+
+    #[test]
+    fn a_token_never_fires_on_a_thread_that_installed_none() {
+        use std::sync::Barrier;
+        let installed = Barrier::new(2);
+        let checked = Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let token = CancelToken::new();
+                token.cancel();
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    crate::ctx::scope(Some(token), crate::kernel::selected(), || {
+                        installed.wait();
+                        checked.wait();
+                        checkpoint();
+                    })
+                }));
+                assert!(r.is_err(), "the installing thread's checkpoint fires");
+            });
+            // The other thread's cancelled token is installed for the
+            // whole window in which this thread checks.
+            installed.wait();
+            let fired = std::panic::catch_unwind(|| {
+                for _ in 0..1000 {
+                    checkpoint();
+                }
+            });
+            checked.wait();
+            assert!(fired.is_ok(), "another thread's token fired here");
+        });
     }
 
     #[test]

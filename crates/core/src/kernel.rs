@@ -18,14 +18,12 @@
 //!    bodies entirely; without it every query returns `None` and the
 //!    scalar scans run unconditionally (`--no-default-features` builds
 //!    are pure safe Rust).
-//! 2. **Process selection** — [`select`] stores a process-global
-//!    [`Kernel`] choice (an atomic, like the comparison tally in
-//!    [`crate::eval`]). It is seeded from the `MONGE_KERNEL`
-//!    environment variable (`auto` | `scalar` | `simd`) on first read;
-//!    `monge_parallel`'s dispatcher re-applies its `Tuning::kernel`
-//!    knob here on entry. Because the selection is process-wide,
-//!    concurrent solves with *different* kernel forcings race on it;
-//!    answers are unaffected (every kernel is exact), only speed.
+//! 2. **Request selection** — [`selected`], held in the calling
+//!    thread's solve context ([`crate::ctx`]) and seeded from the
+//!    `MONGE_KERNEL` environment variable (`auto` | `scalar` | `simd`).
+//!    `monge_parallel`'s dispatcher installs its `Tuning::kernel` knob
+//!    for each solve and the fork primitives carry it to child tasks, so
+//!    concurrent solves never see each other's.
 //! 3. **Run time** — [`simd_available`] caches one
 //!    `is_x86_feature_detected!("avx2")` probe. Forcing
 //!    [`Kernel::Simd`] on a host without AVX2 (or a non-x86-64 host;
@@ -44,7 +42,6 @@
 
 use crate::tiebreak::Tie;
 use crate::value::Value;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which `(min, argmin)` implementation the slice scans should use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -78,38 +75,10 @@ impl Kernel {
     }
 }
 
-/// Process-global selection. `u8::MAX` = not yet seeded from the
-/// environment; otherwise a `Kernel` discriminant.
-static SELECTED: AtomicU8 = AtomicU8::new(u8::MAX);
-
-fn encode(k: Kernel) -> u8 {
-    match k {
-        Kernel::Auto => 0,
-        Kernel::Scalar => 1,
-        Kernel::Simd => 2,
-    }
-}
-
-/// Sets the process-global kernel selection.
-///
-/// This is a raw, unscoped write: nothing restores the previous
-/// selection, and a panic between a `select` and its manual restore
-/// leaves the pin stale for the rest of the process. Code that pins
-/// temporarily — measurement probes, differential tests — should use
-/// [`scoped`] instead.
-pub fn select(k: Kernel) {
-    SELECTED.store(encode(k), Ordering::Relaxed);
-}
-
-/// Pins the process-global kernel selection for the lifetime of the
+/// Pins the calling thread's kernel selection for the lifetime of the
 /// returned guard, restoring the prior selection on drop — including
 /// on unwind, so a panicking measurement or test assertion can never
-/// leave a stale pin behind.
-///
-/// Pins are process-global state, not a stack: two overlapping guards
-/// on different threads race, and the one dropped last wins. Callers
-/// that interleave pinned sections (the kernel differential tests, the
-/// autotune measurement loop) must serialize them externally.
+/// leave a stale pin behind. Other threads are unaffected.
 ///
 /// ```
 /// use monge_core::kernel::{self, Kernel};
@@ -123,43 +92,30 @@ pub fn select(k: Kernel) {
 /// ```
 #[must_use = "the pin is released when the guard drops"]
 pub fn scoped(k: Kernel) -> ScopedKernel {
-    let prev = selected();
-    select(k);
-    ScopedKernel { prev }
+    ScopedKernel {
+        prev: crate::ctx::replace_kernel(k),
+        _thread: std::marker::PhantomData,
+    }
 }
 
 /// RAII guard for a temporary kernel pin; see [`scoped`].
 #[derive(Debug)]
 pub struct ScopedKernel {
     prev: Kernel,
-}
-
-impl ScopedKernel {
-    /// The selection this guard will restore when dropped.
-    pub fn previous(&self) -> Kernel {
-        self.prev
-    }
+    _thread: std::marker::PhantomData<*const ()>,
 }
 
 impl Drop for ScopedKernel {
     fn drop(&mut self) {
-        select(self.prev);
+        crate::ctx::replace_kernel(self.prev);
     }
 }
 
-/// The current process-global selection; seeds itself from
+/// The calling thread's current selection; seeds itself from
 /// `MONGE_KERNEL` (default [`Kernel::Auto`]) on first read.
+#[inline]
 pub fn selected() -> Kernel {
-    match SELECTED.load(Ordering::Relaxed) {
-        0 => Kernel::Auto,
-        1 => Kernel::Scalar,
-        2 => Kernel::Simd,
-        _ => {
-            let k = Kernel::from_env().unwrap_or(Kernel::Auto);
-            SELECTED.store(encode(k), Ordering::Relaxed);
-            k
-        }
-    }
+    crate::ctx::kernel()
 }
 
 /// Were the vector bodies compiled in at all (`simd` feature on an
@@ -584,28 +540,13 @@ mod tests {
         assert_eq!(Kernel::default(), Kernel::Auto);
     }
 
-    /// Serializes the tests that mutate the process-global selection.
-    static SELECT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn selection_is_sticky() {
-        let _g = SELECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let before = selected();
-        select(Kernel::Scalar);
-        assert_eq!(selected(), Kernel::Scalar);
-        assert!(!simd_active());
-        select(before);
-        assert_eq!(selected(), before);
-    }
-
     #[test]
     fn scoped_pin_restores_on_drop_and_unwind() {
-        let _g = SELECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let before = selected();
         {
-            let pin = scoped(Kernel::Scalar);
+            let _pin = scoped(Kernel::Scalar);
             assert_eq!(selected(), Kernel::Scalar);
-            assert_eq!(pin.previous(), before);
+            assert!(!simd_active());
             // Nested pins restore in LIFO order.
             {
                 let _inner = scoped(Kernel::Auto);
@@ -621,6 +562,24 @@ mod tests {
         });
         assert!(result.is_err());
         assert_eq!(selected(), before);
+    }
+
+    #[test]
+    fn pins_are_per_thread() {
+        let (pinned, checked) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let _pin = scoped(Kernel::Scalar);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _pin = scoped(Kernel::Simd);
+                pinned.wait();
+                checked.wait();
+                assert_eq!(selected(), Kernel::Simd);
+            });
+            pinned.wait();
+            let here = selected();
+            checked.wait();
+            assert_eq!(here, Kernel::Scalar, "another thread's pin leaked here");
+        });
     }
 
     #[test]

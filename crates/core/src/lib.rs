@@ -50,6 +50,9 @@
 //!   in steady state.
 //! * [`tiebreak`] — the one implementation of the leftmost/rightmost
 //!   tie-break rule every scan, reduction and candidate merge shares.
+//! * [`ctx`] — the per-request solve context: cancellation token,
+//!   kernel selection and work tallies, installed per request and
+//!   carried across forks.
 //! * [`guard`] — the fault model of the guarded dispatch layer:
 //!   [`guard::SolveError`], [`guard::GuardPolicy`], cooperative
 //!   cancellation ([`guard::CancelToken`] / [`guard::checkpoint`]) and
@@ -77,6 +80,7 @@
 pub mod ansv;
 pub mod array2d;
 pub mod banded;
+pub mod ctx;
 pub mod dist;
 pub mod eval;
 pub mod generators;

@@ -592,14 +592,10 @@ impl TuningProvenance {
 /// What one dispatched solve did: evaluation/comparison/task/arena
 /// counts, per-phase wall time, and (for simulator backends) the
 /// machine-model cost. Filled cooperatively — the dispatcher stamps the
-/// identity fields, wall clock and process-global counter deltas; the
-/// backend records phases, entry evaluations and machine counters.
-///
-/// The evaluation/comparison/task/checkout counters are process-global
-/// and relaxed-atomic: under concurrent solves the deltas attribute
-/// other threads' activity to whichever solve observes it. They are
-/// exact when solves are not racing each other, which is how the tests
-/// and benches run.
+/// identity fields, wall clock and the comparison/task/checkout tallies
+/// of the solve's own context ([`crate::ctx`]); the backend records
+/// phases, entry evaluations and machine counters. Every count is the
+/// solve's own, whatever else runs concurrently.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
     /// Name of the backend that ran the solve.

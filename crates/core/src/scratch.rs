@@ -35,28 +35,17 @@
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     static POOLS: RefCell<HashMap<TypeId, Vec<Box<dyn Any>>>> =
         RefCell::new(HashMap::new());
 }
 
-/// Process-global count of arena checkouts (every [`with_scratch`]
-/// entry; [`with_scratch2`] counts as two). Relaxed, best-effort under
-/// concurrency — the dispatch layer's telemetry snapshots deltas around
-/// each solve to report how much scratch traffic a search generated.
-static CHECKOUTS: AtomicU64 = AtomicU64::new(0);
-
-/// Current value of the process-global checkout counter.
-pub fn checkout_count() -> u64 {
-    CHECKOUTS.load(Ordering::Relaxed)
-}
-
 /// Runs `f` with a scratch vector checked out of this thread's pool,
 /// returning the buffer (and its grown capacity) afterwards. The buffer
 /// arrives with unspecified contents — `clear()` it if you need it
-/// empty.
+/// empty. Each checkout is tallied in the calling thread's solve
+/// context ([`crate::ctx`]); [`with_scratch2`] counts as two.
 ///
 /// ```
 /// use monge_core::scratch::with_scratch;
@@ -73,7 +62,10 @@ pub fn checkout_count() -> u64 {
 /// });
 /// ```
 pub fn with_scratch<T: 'static, R>(f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-    CHECKOUTS.fetch_add(1, Ordering::Relaxed);
+    crate::ctx::add(crate::ctx::Counts {
+        checkouts: 1,
+        ..Default::default()
+    });
     let key = TypeId::of::<Vec<T>>();
     let mut boxed: Box<dyn Any> = POOLS
         .with(|p| p.borrow_mut().get_mut(&key).and_then(Vec::pop))

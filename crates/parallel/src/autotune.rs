@@ -619,9 +619,9 @@ fn write_table(
 /// rows (planes for tubes), else a prefix window of the real arrays —
 /// sub-arrays of Monge arrays are Monge, staircase boundaries stay
 /// valid under row-prefixing, so every candidate runs the real
-/// algorithm on real data. Kernel pins applied while timing are scoped
-/// ([`monge_core::kernel::scoped`]): a panicking candidate cannot leak
-/// its pin into the process.
+/// algorithm on real data. Each candidate's kernel pin holds for its
+/// own solve only ([`monge_core::ctx`]), so none outlives the
+/// measurement.
 pub(crate) fn measure<T: Value>(d: &Dispatcher<T>, problem: &Problem<'_, T>) -> Option<Winner> {
     with_probe(problem, PROBE_ROWS, |probe| {
         let calibrated = runtime::calibrate(&probe.primary_array());
@@ -666,19 +666,16 @@ pub(crate) fn measure<T: Value>(d: &Dispatcher<T>, problem: &Problem<'_, T>) -> 
         if candidates.is_empty() {
             return None;
         }
-        // Restore whatever kernel pin was active before measuring, even
-        // if a candidate panics mid-run.
-        let _pin = kernel::scoped(kernel::selected());
         // One untimed warm-up: fault in code paths and grow the scratch
         // arenas so the first timed candidate isn't penalized for them.
         let (b0, t0) = candidates[0];
-        let _ = std::hint::black_box(d.run(b0, probe, &t0));
+        let _ = std::hint::black_box(d.run(b0, probe, &t0, None));
         let mut best: Option<(u128, usize)> = None;
         for (ci, (backend, tuning)) in candidates.iter().enumerate() {
             let mut fastest = u128::MAX;
             for _ in 0..2 {
                 let t0 = Instant::now();
-                let _ = std::hint::black_box(d.run(*backend, probe, tuning));
+                let _ = std::hint::black_box(d.run(*backend, probe, tuning, None));
                 fastest = fastest.min(t0.elapsed().as_nanos());
             }
             if best.is_none_or(|(t, _)| fastest < t) {

@@ -66,12 +66,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rayon::prelude::*;
-
 use monge_core::array2d::SubArray;
 use monge_core::guard::{
-    payload_to_string, with_cancellation, Attempt, AttemptOutcome, CancelToken, Cancelled,
-    GuardOutcome, GuardPolicy, SolveError, Validation, ViolationAction,
+    payload_to_string, Attempt, AttemptOutcome, CancelToken, Cancelled, GuardOutcome, GuardPolicy,
+    SolveError, Validation, ViolationAction,
 };
 use monge_core::problem::{Problem, ProblemKind, Solution, Structure, Telemetry, TuningProvenance};
 use monge_core::queryindex::QueryIndex;
@@ -83,6 +81,7 @@ use monge_core::value::Value;
 use crate::dispatch::{Backend, Dispatcher};
 use crate::guarded::{input_preconditions, validate, BruteForceBackend, BRUTE};
 use crate::health::{Admission, Observation};
+use crate::runtime;
 use crate::tuning::Tuning;
 
 /// The [`Telemetry::backend`] / [`Attempt::backend`] label of a solve
@@ -316,12 +315,13 @@ fn solve_strip<T: Value>(
     problem: &Problem<'_, T>,
     units: Range<usize>,
     tuning: &Tuning,
+    cancel: Option<&CancelToken>,
 ) -> (Solution<T>, Telemetry) {
     // A strip spanning the whole problem needs no window: run the
     // original directly, skipping the SubArray indirection on every
     // entry read (the common case for members smaller than one chunk).
     if units == (0..problem.primary_array().rows()) {
-        return dispatcher.run(backend, problem, tuning);
+        return dispatcher.run(backend, problem, tuning, cancel);
     }
     match *problem {
         Problem::Rows {
@@ -339,7 +339,7 @@ fn solve_strip<T: Value>(
                 tie,
                 rank: None,
             };
-            dispatcher.run(backend, &p, tuning)
+            dispatcher.run(backend, &p, tuning, cancel)
         }
         Problem::Staircase {
             array,
@@ -354,7 +354,7 @@ fn solve_strip<T: Value>(
                 structure,
                 rank: None,
             };
-            dispatcher.run(backend, &p, tuning)
+            dispatcher.run(backend, &p, tuning, cancel)
         }
         Problem::Banded {
             array,
@@ -369,7 +369,7 @@ fn solve_strip<T: Value>(
                 hi: &hi[units],
                 objective,
             };
-            dispatcher.run(backend, &p, tuning)
+            dispatcher.run(backend, &p, tuning, cancel)
         }
         Problem::Tube { d, e, objective } => {
             let sub = SubArray::new(d, units, 0..d.cols());
@@ -378,7 +378,7 @@ fn solve_strip<T: Value>(
                 e,
                 objective,
             };
-            dispatcher.run(backend, &p, tuning)
+            dispatcher.run(backend, &p, tuning, cancel)
         }
     }
 }
@@ -644,9 +644,8 @@ impl<T: Value> Dispatcher<T> {
                     results[i] = Some(Err(self.batch_deadline_error(start, policy)));
                     continue;
                 }
-                let attempt = catch_unwind(AssertUnwindSafe(|| match &token {
-                    Some(tok) => with_cancellation(tok, || self.run(&brute, &problems[i], &tuning)),
-                    None => self.run(&brute, &problems[i], &tuning),
+                let attempt = catch_unwind(AssertUnwindSafe(|| {
+                    self.run(&brute, &problems[i], &tuning, token.as_ref())
                 }));
                 match attempt {
                     Ok((sol, mut tel)) => {
@@ -771,55 +770,56 @@ impl<T: Value> Dispatcher<T> {
         // single-thread pool, splitting is pure strip-boundary overhead
         // with no balancing benefit (cancellation still fires through
         // the engines' own checkpoints), so everything rides one chunk.
+        // Otherwise no strip may fall below the sequential grain
+        // (`seq_rows`): a strip re-reads its boundary rows, so cutting
+        // finer than the grain the engine would never fork at only adds
+        // evaluations.
         let costs: Vec<(usize, u64)> = active.iter().map(|&i| cost_model(&problems[i])).collect();
         let threads = rayon::current_num_threads().max(1);
         let chunk_count = if threads == 1 {
             1
         } else {
-            threads * tuning.batch_chunks_per_thread.max(1)
+            let total_units: usize = costs.iter().map(|&(u, _)| u).sum();
+            let grain_cap = (total_units / tuning.seq_rows.max(1)).max(1);
+            (threads * tuning.batch_chunks_per_thread.max(1)).min(grain_cap)
         };
         let chunks = plan_chunks(&costs, chunk_count);
 
-        let chunk_outs: Vec<ChunkOut<T>> = chunks
-            .par_iter()
-            .map(|chunk| {
-                let mut strips = Vec::with_capacity(chunk.len());
-                let mut cancelled = false;
-                let mut lost_panic = false;
-                for strip in chunk {
-                    let i = active[strip.member];
-                    // The cooperative-cancellation checkpoint at the
-                    // strip (chunk-internal) boundary.
-                    if cancelled || token.as_ref().is_some_and(CancelToken::is_cancelled) {
-                        cancelled = true;
-                        strips.push((strip.member, strip.units.clone(), None));
-                        continue;
-                    }
-                    let attempt = catch_unwind(AssertUnwindSafe(|| match token {
-                        Some(tok) => with_cancellation(tok, || {
-                            solve_strip(self, seq, &problems[i], strip.units.clone(), tuning)
-                        }),
-                        None => solve_strip(self, seq, &problems[i], strip.units.clone(), tuning),
-                    }));
-                    match attempt {
-                        Ok(out) => strips.push((strip.member, strip.units.clone(), Some(out))),
-                        Err(payload) => {
-                            if payload.downcast_ref::<Cancelled>().is_some() {
-                                cancelled = true;
-                            } else {
-                                lost_panic = true;
-                            }
-                            strips.push((strip.member, strip.units.clone(), None));
+        let chunk_outs: Vec<ChunkOut<T>> = runtime::par_map(&chunks, |chunk| {
+            let mut strips = Vec::with_capacity(chunk.len());
+            let mut cancelled = false;
+            let mut lost_panic = false;
+            for strip in chunk {
+                let i = active[strip.member];
+                // The cooperative-cancellation checkpoint at the
+                // strip (chunk-internal) boundary.
+                if cancelled || token.as_ref().is_some_and(CancelToken::is_cancelled) {
+                    cancelled = true;
+                    strips.push((strip.member, strip.units.clone(), None));
+                    continue;
+                }
+                let attempt = catch_unwind(AssertUnwindSafe(|| {
+                    let units = strip.units.clone();
+                    solve_strip(self, seq, &problems[i], units, tuning, token.as_ref())
+                }));
+                match attempt {
+                    Ok(out) => strips.push((strip.member, strip.units.clone(), Some(out))),
+                    Err(payload) => {
+                        if payload.downcast_ref::<Cancelled>().is_some() {
+                            cancelled = true;
+                        } else {
+                            lost_panic = true;
                         }
+                        strips.push((strip.member, strip.units.clone(), None));
                     }
                 }
-                ChunkOut {
-                    strips,
-                    lost_panic,
-                    lost_deadline: cancelled,
-                }
-            })
-            .collect();
+            }
+            ChunkOut {
+                strips,
+                lost_panic,
+                lost_deadline: cancelled,
+            }
+        });
 
         // Stitch per member; any member with a missing strip is
         // downgraded whole onto the guarded fallback chain with
@@ -883,9 +883,8 @@ impl<T: Value> Dispatcher<T> {
         policy: &BatchPolicy,
         batch_start: Instant,
     ) -> (Result<Solution<T>, SolveError>, Telemetry) {
-        let attempt = catch_unwind(AssertUnwindSafe(|| match token {
-            Some(tok) => with_cancellation(tok, || self.run(seq, problem, tuning)),
-            None => self.run(seq, problem, tuning),
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            self.run(seq, problem, tuning, token.as_ref())
         }));
         match attempt {
             Ok((sol, mut tel)) => {

@@ -57,6 +57,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use monge_core::array2d::{Array2d, Negate};
+use monge_core::guard::CancelToken;
+use monge_core::kernel::{self, Kernel};
 use monge_core::problem::{
     lower_rows, mirror_indices, Metered, Objective, Problem, ProblemKind, Solution, Structure,
     Telemetry, TuningProvenance,
@@ -65,7 +67,7 @@ use monge_core::scratch::with_scratch;
 use monge_core::smawk::{row_minima_totally_monotone, RowExtrema};
 use monge_core::tiebreak::Tie;
 use monge_core::value::Value;
-use monge_core::{banded, eval, scratch, staircase, tube};
+use monge_core::{banded, ctx, eval, staircase, tube};
 
 use crate::autotune::{self, AutotuneKey, AutotuneMode, Autotuner, Claim};
 use crate::health::HealthRegistry;
@@ -117,9 +119,9 @@ impl Capabilities {
 /// A backend consumes the [`Problem`] IR and produces a [`Solution`],
 /// recording its phases, entry-evaluation count and (for simulators)
 /// machine counters into the [`Telemetry`] it is handed. The dispatcher
-/// stamps the identity fields, the wall clock and the process-global
-/// counter deltas (comparisons, rayon tasks, arena checkouts) around
-/// the call.
+/// runs the call in its own solve context ([`monge_core::ctx`]) and
+/// stamps the identity fields, the wall clock and that context's work
+/// tallies (comparisons, rayon tasks, arena checkouts).
 pub trait Backend<T: Value>: Send + Sync {
     /// Registry name (`"sequential"`, `"rayon"`, `"pram:tree"`, …).
     fn name(&self) -> &'static str;
@@ -328,7 +330,6 @@ impl<T: Value> Backend<T> for RayonBackend {
         tuning: &Tuning,
         telemetry: &mut Telemetry,
     ) -> Solution<T> {
-        use rayon::prelude::*;
         let t = *tuning;
         match *problem {
             Problem::Rows {
@@ -341,15 +342,9 @@ impl<T: Value> Backend<T> for RayonBackend {
                 let a = Metered::new(array);
                 let t0 = Instant::now();
                 let index = if structure == Structure::Plain {
-                    runtime::add_tasks(a.rows() as u64);
-                    (0..a.rows())
-                        .into_par_iter()
-                        .map(|i| {
-                            with_scratch(|buf: &mut Vec<T>| {
-                                plain_row_opt(&a, i, objective, tie, buf)
-                            })
-                        })
-                        .collect()
+                    runtime::par_map(0..a.rows(), |i| {
+                        with_scratch(|buf: &mut Vec<T>| plain_row_opt(&a, i, objective, tie, buf))
+                    })
                 } else {
                     let (mut index, mirror) =
                         lower_rows(&a, structure, objective, tie, |arr, tt| {
@@ -861,7 +856,7 @@ impl<T: Value> Dispatcher<T> {
     /// Solves with explicit tuning: auto-selects, runs, instruments.
     pub fn solve_with(&self, problem: &Problem<'_, T>, tuning: Tuning) -> (Solution<T>, Telemetry) {
         let backend = self.select(problem, &tuning);
-        self.run(backend, problem, &tuning)
+        self.run(backend, problem, &tuning, None)
     }
 
     /// Solves with *measured* selection: consults the persistent
@@ -883,7 +878,7 @@ impl<T: Value> Dispatcher<T> {
             .and_then(|name| self.find(name))
             .filter(|b| b.eligible(problem))
             .unwrap_or_else(|| self.select(problem, &decision.tuning));
-        let (solution, mut telemetry) = self.run(backend, problem, &decision.tuning);
+        let (solution, mut telemetry) = self.run(backend, problem, &decision.tuning, None);
         telemetry.provenance = Some(decision.provenance);
         (solution, telemetry)
     }
@@ -941,24 +936,27 @@ impl<T: Value> Dispatcher<T> {
         if !backend.eligible(problem) {
             return None;
         }
-        Some(self.run(backend, problem, &tuning))
+        Some(self.run(backend, problem, &tuning, None))
     }
 
-    /// The instrumentation wrapper: snapshots the process-global
-    /// counters, runs the backend, stamps identity, wall clock and
-    /// counter deltas.
+    /// The instrumentation wrapper: runs the backend in its own solve
+    /// context ([`monge_core::ctx::scope`]) and stamps identity, wall
+    /// clock and the context's work tallies.
+    ///
+    /// `cancel` is the request's deadline token (`None` keeps the
+    /// caller's, if any). The tuning's kernel request holds for this
+    /// solve only; [`Kernel::Auto`] keeps the caller's selection.
     pub(crate) fn run(
         &self,
         backend: &dyn Backend<T>,
         problem: &Problem<'_, T>,
         tuning: &Tuning,
+        cancel: Option<&CancelToken>,
     ) -> (Solution<T>, Telemetry) {
-        // Honor the tuning's kernel request before any scan runs; the
-        // selection is process-global (see `monge_core::kernel`), so a
-        // `Scalar`/`Simd` pin here outlives the solve by design —
-        // callers mixing pinned tunings across threads should
-        // serialize solves themselves.
-        tuning.apply_kernel();
+        let kernel = match tuning.kernel {
+            Kernel::Auto => kernel::selected(),
+            pinned => pinned,
+        };
         let mut telemetry = Telemetry {
             backend: backend.name(),
             kind: Some(problem.kind()),
@@ -968,15 +966,14 @@ impl<T: Value> Dispatcher<T> {
             provenance: Some(TuningProvenance::Default),
             ..Telemetry::default()
         };
-        let comparisons0 = eval::comparison_count();
-        let checkouts0 = scratch::checkout_count();
-        let tasks0 = runtime::task_count();
         let start = Instant::now();
-        let solution = backend.solve(problem, tuning, &mut telemetry);
+        let (solution, counts) = ctx::scope(cancel.cloned(), kernel, || {
+            backend.solve(problem, tuning, &mut telemetry)
+        });
         telemetry.total_nanos = start.elapsed().as_nanos();
-        telemetry.comparisons = eval::comparison_count().saturating_sub(comparisons0);
-        telemetry.arena_checkouts = scratch::checkout_count().saturating_sub(checkouts0);
-        telemetry.tasks = runtime::task_count().saturating_sub(tasks0);
+        telemetry.comparisons = counts.comparisons;
+        telemetry.arena_checkouts = counts.checkouts;
+        telemetry.tasks = counts.tasks;
         (solution, telemetry)
     }
 }

@@ -64,9 +64,8 @@ use std::time::{Duration, Instant};
 
 use monge_core::array2d::Array2d;
 use monge_core::guard::{
-    checkpoint, payload_to_string, with_cancellation, Attempt, AttemptOutcome, CancelToken,
-    Cancelled, GuardOutcome, GuardPolicy, SolveError, Validation, ViolationAction,
-    ViolationWitness,
+    checkpoint, payload_to_string, Attempt, AttemptOutcome, CancelToken, Cancelled, GuardOutcome,
+    GuardPolicy, SolveError, Validation, ViolationAction, ViolationWitness,
 };
 use monge_core::monge::{
     check_inverse_monge, check_monge, check_monge_banded, check_staircase_inverse_monge_prefix,
@@ -441,9 +440,8 @@ impl<T: Value> Dispatcher<T> {
                 attempts_here += 1;
                 attempted_any = true;
                 let t_attempt = Instant::now();
-                let attempt = catch_unwind(AssertUnwindSafe(|| match &token {
-                    Some(tok) => with_cancellation(tok, || self.run(*backend, problem, &tuning)),
-                    None => self.run(*backend, problem, &tuning),
+                let attempt = catch_unwind(AssertUnwindSafe(|| {
+                    self.run(*backend, problem, &tuning, token.as_ref())
                 }));
                 let latency = t_attempt.elapsed().as_nanos().min(u64::MAX as u128) as u64;
                 match attempt {

@@ -24,12 +24,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use monge_core::guard::{
-    payload_to_string, with_cancellation, Attempt, AttemptOutcome, CancelToken, Cancelled,
-    GuardOutcome, GuardPolicy, SolveError,
+    payload_to_string, Attempt, AttemptOutcome, CancelToken, Cancelled, GuardOutcome, GuardPolicy,
+    SolveError,
 };
 use monge_core::problem::{Metered, Problem, Structure, Telemetry};
 use monge_core::queryindex::QueryIndex;
 use monge_core::value::Value;
+use monge_core::{ctx, kernel};
 
 use crate::dispatch::Dispatcher;
 use crate::guarded::validate;
@@ -121,9 +122,11 @@ impl<T: Value> Dispatcher<T> {
 
         let t_build = Instant::now();
         let metered = Metered::new(array);
-        let attempt = catch_unwind(AssertUnwindSafe(|| match &token {
-            Some(tok) => with_cancellation(tok, || QueryIndex::build(&metered, structure)),
-            None => QueryIndex::build(&metered, structure),
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            ctx::scope(token, kernel::selected(), || {
+                QueryIndex::build(&metered, structure)
+            })
+            .0
         }));
         let build_nanos = t_build.elapsed().as_nanos();
         match attempt {

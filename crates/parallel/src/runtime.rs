@@ -1,8 +1,12 @@
-//! The parallel execution runtime: scratch arenas + grain calibration.
+//! The parallel execution runtime: forks, scratch arenas and grain
+//! calibration.
 //!
-//! Two ingredients turn the divide & conquer engines in this crate
+//! Three ingredients turn the divide & conquer engines in this crate
 //! into an allocation-free, self-tuning runtime:
 //!
+//! * **Forks** — [`join_tracked`] and [`par_map`], the crate's only
+//!   fork points, carry the caller's solve context ([`monge_core::ctx`])
+//!   into every child.
 //! * **Scratch arenas** — the thread-local grow-only buffer pools of
 //!   [`monge_core::scratch`], re-exported here ([`with_scratch`],
 //!   [`with_scratch2`]). Every recursion leaf and every rayon task
@@ -58,36 +62,31 @@
 
 use crate::tuning::Tuning;
 use monge_core::array2d::Array2d;
+use monge_core::ctx::{self, Counts};
 use monge_core::eval;
-use monge_core::kernel::Kernel;
+use monge_core::kernel::{self, Kernel};
 use monge_core::value::Value;
-use std::sync::atomic::{AtomicU64, Ordering};
+use rayon::prelude::*;
 use std::time::Instant;
 
 pub use monge_core::scratch::{pooled_buffers, with_scratch, with_scratch2};
 
-/// Process-global tally of rayon tasks forked by the engines (two per
-/// [`join_tracked`], one per parallel scan chunk). Relaxed, best-effort
-/// under concurrency; the dispatch layer snapshots deltas around each
-/// solve so telemetry can report fan-out for free.
-static TASKS: AtomicU64 = AtomicU64::new(0);
-
-/// Current value of the process-global task counter.
+/// Tasks forked by work started from the calling thread (its solve
+/// context's tally), so deltas around a call measure its fan-out.
 pub fn task_count() -> u64 {
-    TASKS.load(Ordering::Relaxed)
+    ctx::counts().tasks
 }
 
-/// Adds `n` forked tasks to the tally (parallel iterators count their
-/// chunks here).
-pub(crate) fn add_tasks(n: u64) {
-    if n > 0 {
-        TASKS.fetch_add(n, Ordering::Relaxed);
+fn forked(tasks: usize) -> Counts {
+    Counts {
+        tasks: tasks as u64,
+        ..Default::default()
     }
 }
 
-/// [`rayon::join`] that counts both closures toward [`task_count`] —
-/// the fork primitive every engine in this crate uses, so dispatched
-/// solves can report how many tasks a search actually spawned.
+/// [`rayon::join`] that runs both closures in child contexts carrying
+/// the caller's token and kernel, then adds their tallies plus two
+/// tasks to the caller's — the fork every engine in this crate uses.
 pub fn join_tracked<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -95,8 +94,30 @@ where
     RA: Send,
     RB: Send,
 {
-    TASKS.fetch_add(2, Ordering::Relaxed);
-    rayon::join(a, b)
+    let (cancel, kernel) = (ctx::cancel(), kernel::selected());
+    let ((ra, ca), (rb, cb)) = rayon::join(
+        || ctx::fork(cancel.clone(), kernel, a),
+        || ctx::fork(cancel.clone(), kernel, b),
+    );
+    ctx::add(ca + cb + forked(2));
+    (ra, rb)
+}
+
+/// Parallel, order-preserving map, the crate's one parallel iterator:
+/// like [`join_tracked`], with one child context and one task per item.
+pub fn par_map<I, R, F>(items: I, f: F) -> Vec<R>
+where
+    I: IntoParallelIterator,
+    R: Send,
+    F: Fn(I::Item) -> R + Sync + Send,
+{
+    let (cancel, kernel) = (ctx::cancel(), kernel::selected());
+    let out: Vec<(R, Counts)> = items
+        .into_par_iter()
+        .map(|x| ctx::fork(cancel.clone(), kernel, || f(x)))
+        .collect();
+    ctx::add(out.iter().fold(forked(out.len()), |sum, (_, c)| sum + *c));
+    out.into_iter().map(|(r, _)| r).collect()
 }
 
 /// Target amount of work per rayon task, in nanoseconds.
@@ -151,7 +172,6 @@ pub fn calibrate<T: Value, A: Array2d<T>>(a: &A) -> Tuning {
 /// pins [`Kernel::Scalar`] so the dispatcher turns vectorization off
 /// for this workload.
 fn probe_kernel<T: Value, A: Array2d<T>>(a: &A) -> Kernel {
-    use monge_core::kernel;
     if !kernel::simd_compiled() || !kernel::simd_available() {
         return Kernel::Auto;
     }

@@ -58,11 +58,12 @@
 //! values cannot cause unbounded recursion either. An unparsable
 //! `MONGE_KERNEL` likewise falls back to the current value.
 //!
-//! The [`Tuning::kernel`] field is a *requested selection*, not a
-//! per-call switch: the dispatcher applies it to the process-global
-//! kernel state ([`monge_core::kernel::select`]) on entry, because the
-//! slice scans deep inside `monge-core` have no `Tuning` in scope (see
-//! the precedence notes in [`monge_core::kernel`]).
+//! The [`Tuning::kernel`] field reaches the slice scans deep inside
+//! `monge-core`, which have no `Tuning` in scope, through the solve
+//! context ([`monge_core::ctx`]): the dispatcher installs it for the
+//! duration of each solve, the fork primitives hand it to every child
+//! task, and it ends with the solve. `Auto` keeps whatever the caller
+//! selected (see the precedence notes in [`monge_core::kernel`]).
 
 use monge_core::kernel::Kernel;
 
@@ -103,8 +104,7 @@ pub struct Tuning {
     /// Which slice-scan kernel the engines should use
     /// ([`monge_core::kernel::Kernel`]): `Auto` (the default) lets the
     /// runtime pick SIMD whenever it is compiled in and supported,
-    /// `Scalar`/`Simd` pin the choice. Applied process-globally by the
-    /// dispatcher and by [`crate::runtime::calibrate`].
+    /// `Scalar`/`Simd` pin the choice for the solve it is passed to.
     pub kernel: Kernel,
 }
 
@@ -141,16 +141,6 @@ impl Tuning {
             batch_chunks_per_thread: env_usize("MONGE_BATCH_CHUNKS")
                 .unwrap_or(self.batch_chunks_per_thread),
             kernel: Kernel::from_env().unwrap_or(self.kernel),
-        }
-    }
-
-    /// Applies this tuning's [`Tuning::kernel`] request to the
-    /// process-global kernel selection. A no-op for [`Kernel::Auto`],
-    /// which is also the global default — so callers that never touch
-    /// the knob never mutate process state.
-    pub fn apply_kernel(&self) {
-        if self.kernel != Kernel::Auto {
-            monge_core::kernel::select(self.kernel);
         }
     }
 }
@@ -202,10 +192,6 @@ mod tests {
     #[test]
     fn default_kernel_is_auto() {
         assert_eq!(Tuning::DEFAULT.kernel, Kernel::Auto);
-        // Applying the default must not disturb the global selection.
-        let before = monge_core::kernel::selected();
-        Tuning::DEFAULT.apply_kernel();
-        assert_eq!(monge_core::kernel::selected(), before);
     }
 
     #[test]

@@ -5,10 +5,14 @@
 //! total. Deterministic (no property-testing dependency) so CI can run
 //! it as a dedicated job.
 
+use std::sync::Barrier;
+use std::time::Duration;
+
 use monge_core::array2d::Dense;
 use monge_core::generators::{apply_staircase, random_monge_dense, random_staircase_boundary};
+use monge_core::guard::{FaultInjector, FaultPlan, GuardPolicy};
 use monge_core::problem::{Problem, ProblemKind, Telemetry};
-use monge_parallel::{Dispatcher, Tuning};
+use monge_parallel::{BatchPolicy, Dispatcher, Tuning};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -162,4 +166,65 @@ fn simulators_report_machine_counters() {
     };
     let (_, tel) = d.solve_on("rayon", &p, fine).expect("rayon backend");
     assert!(tel.tasks > 0, "rayon: no tracked task spawns");
+}
+
+/// Two requests solving at once — a forking guarded solve under a
+/// deadline, and a batch — each report exactly the work they report
+/// when run alone: comparisons, tasks and arena checkouts are tallied
+/// per request, never in counters the process shares.
+#[test]
+fn concurrent_solves_report_only_their_own_work() {
+    let d = Dispatcher::with_default_backends();
+    let mut rng = StdRng::seed_from_u64(102);
+    // Stalls at a few fixed sites make the two requests interleave even
+    // on one core (the stalls move no tally: they are deterministic).
+    let stalls = FaultPlan::none(5).latency(50, Duration::from_micros(100));
+    let a = FaultInjector::new(random_monge_dense(256, 256, &mut rng), stalls, 0i64);
+    let fine = Tuning {
+        seq_rows: 8,
+        seq_scan: 64,
+        ..Tuning::DEFAULT
+    };
+    let guard = GuardPolicy {
+        deadline: Some(Duration::from_secs(600)),
+        ..GuardPolicy::default()
+    };
+    let members: Vec<FaultInjector<i64, Dense<i64>>> = (0..6)
+        .map(|_| FaultInjector::new(random_monge_dense(96, 96, &mut rng), stalls, 0i64))
+        .collect();
+    let problems: Vec<Problem<'_, i64>> = members.iter().map(|m| Problem::row_minima(m)).collect();
+    let policy = BatchPolicy::default().without_calibration();
+
+    let work = |t: &Telemetry| (t.comparisons, t.tasks, t.arena_checkouts);
+    let guarded = || {
+        let p = Problem::row_minima(&a);
+        let (_, tel) = d
+            .solve_guarded_on("rayon", &p, &guard, fine)
+            .expect("guarded solve");
+        work(&tel)
+    };
+    let batch = || {
+        let report = d.solve_batch_report(&problems, &policy);
+        assert!(report.results.iter().all(Result::is_ok));
+        report.telemetry.iter().map(work).collect::<Vec<_>>()
+    };
+
+    let (guarded_alone, batch_alone) = (guarded(), batch());
+    assert!(guarded_alone.1 > 0, "the guarded solve must fork");
+    for round in 0..8 {
+        let start = Barrier::new(2);
+        let (g, b) = std::thread::scope(|s| {
+            let g = s.spawn(|| {
+                start.wait();
+                guarded()
+            });
+            let b = s.spawn(|| {
+                start.wait();
+                batch()
+            });
+            (g.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(g, guarded_alone, "round {round}: guarded solve");
+        assert_eq!(b, batch_alone, "round {round}: batch members");
+    }
 }
