@@ -19,7 +19,7 @@
 //! implementation that every backend shares, instead of each engine
 //! hand-rolling its own reverse/negate/mirror plumbing.
 
-use crate::array2d::{Array2d, Negate, ReverseCols};
+use crate::array2d::{Array2d, Negate, ReverseCols, SubArray};
 use crate::smawk::RowExtrema;
 use crate::tiebreak::Tie;
 use crate::tube::TubeExtrema;
@@ -382,6 +382,72 @@ impl<'a, T: Value> Problem<'a, T> {
             | Problem::Staircase { array, .. }
             | Problem::Banded { array, .. } => (array.rows(), array.cols()),
             Problem::Tube { d, e, .. } => (d.rows() * e.cols(), d.cols()),
+        }
+    }
+
+    /// Runs `f` on the sub-problem over the row window `rows` (planes of
+    /// `d` for tubes): the array restricted to those rows, with the
+    /// boundary, bands and rank generators sliced to match. Any row
+    /// window of a (staircase-)Monge array keeps its structure, and
+    /// row extrema are per-row properties, so the window's answers are
+    /// exactly the corresponding rows (planes) of the whole answer. A
+    /// full range hands `f` this problem untouched. Continuation-passing
+    /// because the window borrows a stack-local [`SubArray`].
+    ///
+    /// # Panics
+    /// If `rows` is out of range.
+    pub fn with_rows<R>(&self, rows: Range<usize>, f: impl FnOnce(&Problem<'_, T>) -> R) -> R {
+        if rows == (0..self.primary_array().rows()) {
+            return f(self);
+        }
+        let window = |a: &'a dyn Array2d<T>| SubArray::new(a, rows.clone(), 0..a.cols());
+        let rank = |r: Option<RankStructure<'a, T>>| {
+            r.map(|r| RankStructure {
+                v: &r.v[rows.clone()],
+                ..r
+            })
+        };
+        match *self {
+            Problem::Rows {
+                array,
+                structure,
+                objective,
+                tie,
+                rank: rs,
+            } => f(&Problem::Rows {
+                array: &window(array),
+                structure,
+                objective,
+                tie,
+                rank: rank(rs),
+            }),
+            Problem::Staircase {
+                array,
+                boundary,
+                structure,
+                rank: rs,
+            } => f(&Problem::Staircase {
+                array: &window(array),
+                boundary: &boundary[rows.clone()],
+                structure,
+                rank: rank(rs),
+            }),
+            Problem::Banded {
+                array,
+                lo,
+                hi,
+                objective,
+            } => f(&Problem::Banded {
+                array: &window(array),
+                lo: &lo[rows.clone()],
+                hi: &hi[rows.clone()],
+                objective,
+            }),
+            Problem::Tube { d, e, objective } => f(&Problem::Tube {
+                d: &window(d),
+                e,
+                objective,
+            }),
         }
     }
 }
@@ -900,6 +966,108 @@ mod tests {
         assert_eq!(Problem::tube_minima(&a, &a).kind(), ProblemKind::TubeMinima);
         assert_eq!(Problem::tube_maxima(&a, &a).kind(), ProblemKind::TubeMaxima);
         assert_eq!(Problem::tube_maxima(&a, &a).search_shape(), (9, 3));
+    }
+
+    /// The sequential core engines' argopt column per row (per
+    /// `(plane, k)` cell for tubes), straight from the problem's fields.
+    fn seq_indices(p: &Problem<'_, i64>) -> Vec<Option<usize>> {
+        match *p {
+            Problem::Rows {
+                array,
+                structure,
+                objective,
+                tie,
+                ..
+            } => {
+                let (mut idx, mirror) = lower_rows(array, structure, objective, tie, |a, t| {
+                    row_minima_totally_monotone(&a, t)
+                });
+                if let Some(n) = mirror {
+                    mirror_indices(&mut idx, n);
+                }
+                idx.into_iter().map(Some).collect()
+            }
+            Problem::Staircase {
+                array, boundary, ..
+            } => crate::staircase::staircase_row_minima(&array, boundary)
+                .into_iter()
+                .map(Some)
+                .collect(),
+            Problem::Banded { array, lo, hi, .. } => {
+                crate::banded::banded_row_minima_monge(&array, lo, hi)
+            }
+            Problem::Tube { d, e, .. } => crate::tube::tube_minima(&d, &e)
+                .index
+                .into_iter()
+                .map(Some)
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn with_rows_windows_every_family() {
+        // f(j - i) with f convex is Monge; the flat bottom of
+        // max(0, |x| - 3) gives every row a plateau of tied minima.
+        let a = Dense::tabulate(40, 30, |i, j| ((j as i64 - i as i64).abs() - 3).max(0));
+        let e = Dense::tabulate(30, 12, |j, k| (j as i64 - 2 * k as i64).pow(2));
+        let boundary: Vec<usize> = (0..40).map(|i| 30 - i * 2 / 3).collect();
+        let lo: Vec<usize> = (0..40).map(|i| i / 2).collect();
+        let hi: Vec<usize> = (0..40).map(|i| (i / 2 + 9).min(30)).collect();
+        let right = Problem::row_minima(&a).with_tie(Tie::Right);
+        assert_ne!(
+            seq_indices(&right),
+            seq_indices(&Problem::row_minima(&a)),
+            "the plateau must make the tie rule observable"
+        );
+        let problems = [
+            right,
+            Problem::rows(&a, Structure::Monge, Objective::Maximize).with_tie(Tie::Right),
+            Problem::staircase_row_minima(&a, &boundary),
+            Problem::banded_row_minima(&a, &lo, &hi),
+            Problem::tube_minima(&a, &e),
+        ];
+        for p in &problems {
+            // Outputs per unit: one per row, `r` per tube plane.
+            let per_unit = match p {
+                Problem::Tube { e, .. } => e.cols(),
+                _ => 1,
+            };
+            let whole = seq_indices(p);
+            for rows in [0..40, 0..17, 13..31, 39..40] {
+                let windowed = p.with_rows(rows.clone(), |w| {
+                    assert_eq!(w.kind(), p.kind());
+                    assert_eq!(w.primary_array().rows(), rows.len());
+                    seq_indices(w)
+                });
+                assert_eq!(
+                    windowed,
+                    whole[rows.start * per_unit..rows.end * per_unit],
+                    "{:?} window {rows:?}",
+                    p.kind()
+                );
+            }
+        }
+
+        // A full range passes the problem through untouched (no
+        // SubArray indirection); a shorter prefix is a true window, as
+        // the autotuner's measurement probe relies on.
+        let tall = Dense::tabulate(1000, 8, |i, j| (i as i64 - j as i64).pow(2));
+        let p = Problem::row_minima(&tall);
+        let same = p.with_rows(0..1000, |w| {
+            std::ptr::addr_eq(w.primary_array(), p.primary_array())
+        });
+        assert!(same, "a full window must be the original problem");
+        assert_eq!(p.with_rows(0..192, |w| w.primary_array().rows()), 192);
+        // The row generators are windowed with the rows.
+        let v: Vec<i64> = (0..1000).collect();
+        let w: Vec<i64> = (0..8).collect();
+        let g = |x: i64, y: i64| (x - y) * (x - y);
+        let ranked = p.with_rank(&v, &w, &g);
+        let rank_v = ranked.with_rows(10..20, |q| match *q {
+            Problem::Rows { rank: Some(r), .. } => r.v.to_vec(),
+            _ => Vec::new(),
+        });
+        assert_eq!(rank_v, v[10..20]);
     }
 
     #[test]

@@ -59,7 +59,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use monge_core::array2d::SubArray;
 use monge_core::kernel::{self, Kernel};
 use monge_core::problem::{Problem, ProblemKind, Structure};
 use monge_core::value::Value;
@@ -616,14 +615,15 @@ fn write_table(
 /// the sequential backend admits everything).
 ///
 /// The probe is the problem itself when it has at most [`PROBE_ROWS`]
-/// rows (planes for tubes), else a prefix window of the real arrays —
-/// sub-arrays of Monge arrays are Monge, staircase boundaries stay
-/// valid under row-prefixing, so every candidate runs the real
-/// algorithm on real data. Each candidate's kernel pin holds for its
+/// rows (planes for tubes), else a prefix window of the real arrays
+/// ([`Problem::with_rows`]) — sub-arrays of Monge arrays are Monge,
+/// staircase boundaries stay valid under row-prefixing, so every
+/// candidate runs the real algorithm on real data. Each candidate's kernel pin holds for its
 /// own solve only ([`monge_core::ctx`]), so none outlives the
 /// measurement.
 pub(crate) fn measure<T: Value>(d: &Dispatcher<T>, problem: &Problem<'_, T>) -> Option<Winner> {
-    with_probe(problem, PROBE_ROWS, |probe| {
+    let rows = problem.primary_array().rows();
+    problem.with_rows(0..rows.min(PROBE_ROWS), |probe| {
         let calibrated = runtime::calibrate(&probe.primary_array());
         let env = Tuning::from_env();
         let mut tunings = vec![calibrated];
@@ -687,75 +687,6 @@ pub(crate) fn measure<T: Value>(d: &Dispatcher<T>, problem: &Problem<'_, T>) -> 
             tuning: candidates[ci].1,
         })
     })
-}
-
-/// Runs `f` on a row-prefix window of `problem` with at most `max_rows`
-/// rows (planes for tubes) — or on the problem itself when it already
-/// fits. The window drops the rank form (host candidates never need
-/// it).
-fn with_probe<T: Value, R>(
-    problem: &Problem<'_, T>,
-    max_rows: usize,
-    f: impl FnOnce(&Problem<'_, T>) -> R,
-) -> R {
-    let rows = problem.primary_array().rows();
-    if rows <= max_rows {
-        return f(problem);
-    }
-    match *problem {
-        Problem::Rows {
-            array,
-            structure,
-            objective,
-            tie,
-            ..
-        } => {
-            let sub = SubArray::new(array, 0..max_rows, 0..array.cols());
-            f(&Problem::Rows {
-                array: &sub,
-                structure,
-                objective,
-                tie,
-                rank: None,
-            })
-        }
-        Problem::Staircase {
-            array,
-            boundary,
-            structure,
-            ..
-        } => {
-            let sub = SubArray::new(array, 0..max_rows, 0..array.cols());
-            f(&Problem::Staircase {
-                array: &sub,
-                boundary: &boundary[..max_rows],
-                structure,
-                rank: None,
-            })
-        }
-        Problem::Banded {
-            array,
-            lo,
-            hi,
-            objective,
-        } => {
-            let sub = SubArray::new(array, 0..max_rows, 0..array.cols());
-            f(&Problem::Banded {
-                array: &sub,
-                lo: &lo[..max_rows],
-                hi: &hi[..max_rows],
-                objective,
-            })
-        }
-        Problem::Tube { d, e, objective } => {
-            let sub = SubArray::new(d, 0..max_rows, 0..d.cols());
-            f(&Problem::Tube {
-                d: &sub,
-                e,
-                objective,
-            })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -908,16 +839,5 @@ mod tests {
             before,
             "measurement must not leak a pin"
         );
-    }
-
-    #[test]
-    fn probe_windows_large_problems() {
-        let a = dense(1000, 8);
-        let p = Problem::row_minima(&a);
-        let probed_rows = with_probe(&p, PROBE_ROWS, |probe| probe.primary_array().rows());
-        assert_eq!(probed_rows, PROBE_ROWS);
-        let small = dense(5, 5);
-        let p = Problem::row_minima(&small);
-        assert_eq!(with_probe(&p, PROBE_ROWS, |q| q.primary_array().rows()), 5);
     }
 }

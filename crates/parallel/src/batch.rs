@@ -8,9 +8,10 @@
 //! pinning, structure validation, scratch-arena warm-up. This module
 //! amortizes those costs across a whole batch:
 //!
-//! 1. **Admission.** Every problem is precondition-checked and its
-//!    structural promise validated exactly once (the same
-//!    [`GuardPolicy`] semantics as `solve_guarded`): violations fail or
+//! 1. **Admission.** Every problem passes `solve_guarded`'s own
+//!    admission stage ([`crate::guarded`]): preconditions and exactly
+//!    one validation pass under the [`GuardPolicy`], with broken
+//!    promises recorded in the health registry. Violations fail or
 //!    quarantine the individual problem, never the batch.
 //! 2. **Grouping.** Admitted problems are grouped by
 //!    `(ProblemKind, structure, size-class)` — the same coordinates as
@@ -31,13 +32,16 @@
 //!    of the array, so stitching the strips back together is
 //!    bitwise-identical to solving each problem whole.
 //! 4. **Admission control.** A per-batch deadline is carved into
-//!    per-group slices proportional to estimated cost; every chunk
-//!    checks its group's [`CancelToken`] at strip boundaries (and the
-//!    engines checkpoint inside strips). Groups whose estimated cost
-//!    exceeds [`BatchPolicy::max_group_cost`] are **shed**: downgraded
-//!    onto the `solve_guarded` fallback chain one problem at a time
-//!    rather than failing the batch. A panicking or deadline-starved
-//!    strip likewise downgrades only its own problem.
+//!    per-group slices proportional to estimated cost (quarantined
+//!    members share one more slice); every chunk checks its group's
+//!    [`CancelToken`] at strip boundaries (and the engines checkpoint
+//!    inside strips). Every member the fused path does not answer
+//!    takes `solve_guarded`'s fallback walk with the admission record
+//!    it already holds, under its slice's token: quarantined members
+//!    (brute only), members of groups that are **shed** (estimated
+//!    cost above [`BatchPolicy::max_group_cost`]) or whose sequential
+//!    breaker is Open, members with a strip lost to a panic or to the
+//!    deadline, and empty members. One fault never fails the batch.
 //! 5. **Rollups.** Per-problem [`Telemetry`] is merged via
 //!    [`Telemetry::merge`]; the [`SolverService`] accumulates the same
 //!    rollups per tenant.
@@ -62,15 +66,10 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use monge_core::array2d::SubArray;
-use monge_core::guard::{
-    payload_to_string, Attempt, AttemptOutcome, CancelToken, Cancelled, GuardOutcome, GuardPolicy,
-    SolveError, Validation, ViolationAction,
-};
+use monge_core::guard::{Attempt, AttemptOutcome, CancelToken, GuardPolicy, SolveError};
 use monge_core::problem::{Problem, ProblemKind, Solution, Structure, Telemetry, TuningProvenance};
 use monge_core::queryindex::QueryIndex;
 use monge_core::scratch;
@@ -79,7 +78,7 @@ use monge_core::tube::TubeExtrema;
 use monge_core::value::Value;
 
 use crate::dispatch::{Backend, Dispatcher};
-use crate::guarded::{input_preconditions, validate, BruteForceBackend, BRUTE};
+use crate::guarded::{contained, nanos_since, Budget, Fault};
 use crate::health::{Admission, Observation};
 use crate::runtime;
 use crate::tuning::Tuning;
@@ -101,17 +100,14 @@ pub struct BatchPolicy {
     /// slices proportional to estimated cost. A starved group degrades
     /// to [`SolveError::DeadlineExceeded`] for its own members only.
     pub deadline: Option<Duration>,
-    /// Calibrate the grain cutoffs once per group against the group's
-    /// most expensive member (default `true`). Ignored when
-    /// [`BatchPolicy::tuning`] is set.
+    /// Resolve each group's tuning through the autotuner, keyed by the
+    /// group's most expensive member (default `true`); `false` uses the
+    /// environment-seeded tuning.
     pub calibrate: bool,
-    /// Explicit tuning override: beats calibration and the environment,
-    /// matching the per-call precedence of [`crate::tuning`].
-    pub tuning: Option<Tuning>,
     /// Load-shedding threshold: groups whose estimated cost (in entry
-    /// evaluations) exceeds this are not fused; their members are
-    /// downgraded onto the `solve_guarded` fallback chain one at a
-    /// time. `None` (the default) never sheds.
+    /// evaluations) exceeds this are not fused; their members take the
+    /// `solve_guarded` fallback walk one at a time. `None` (the
+    /// default) never sheds.
     pub max_group_cost: Option<u64>,
 }
 
@@ -121,7 +117,6 @@ impl Default for BatchPolicy {
             guard: GuardPolicy::default(),
             deadline: None,
             calibrate: true,
-            tuning: None,
             max_group_cost: None,
         }
     }
@@ -139,13 +134,6 @@ impl BatchPolicy {
     #[must_use]
     pub fn with_deadline(mut self, d: Duration) -> Self {
         self.deadline = Some(d);
-        self
-    }
-
-    /// Pins an explicit tuning instead of calibrating per group.
-    #[must_use]
-    pub fn with_tuning(mut self, t: Tuning) -> Self {
-        self.tuning = Some(t);
         self
     }
 
@@ -304,98 +292,25 @@ fn plan_chunks(costs: &[(usize, u64)], chunks: usize) -> Vec<Vec<Strip>> {
     plan
 }
 
-/// Solves one strip by building the sub-problem over a row (plane)
-/// window of the original arrays and running the group's backend on it.
-/// Row-minima answers are per-row properties (per-plane for tubes), so
-/// strip answers are bitwise-identical to the corresponding rows of the
-/// whole-problem answer.
-fn solve_strip<T: Value>(
-    dispatcher: &Dispatcher<T>,
-    backend: &dyn Backend<T>,
-    problem: &Problem<'_, T>,
-    units: Range<usize>,
-    tuning: &Tuning,
-    cancel: Option<&CancelToken>,
-) -> (Solution<T>, Telemetry) {
-    // A strip spanning the whole problem needs no window: run the
-    // original directly, skipping the SubArray indirection on every
-    // entry read (the common case for members smaller than one chunk).
-    if units == (0..problem.primary_array().rows()) {
-        return dispatcher.run(backend, problem, tuning, cancel);
-    }
-    match *problem {
-        Problem::Rows {
-            array,
-            structure,
-            objective,
-            tie,
-            ..
-        } => {
-            let sub = SubArray::new(array, units, 0..array.cols());
-            let p = Problem::Rows {
-                array: &sub,
-                structure,
-                objective,
-                tie,
-                rank: None,
-            };
-            dispatcher.run(backend, &p, tuning, cancel)
-        }
-        Problem::Staircase {
-            array,
-            boundary,
-            structure,
-            ..
-        } => {
-            let sub = SubArray::new(array, units.clone(), 0..array.cols());
-            let p = Problem::Staircase {
-                array: &sub,
-                boundary: &boundary[units],
-                structure,
-                rank: None,
-            };
-            dispatcher.run(backend, &p, tuning, cancel)
-        }
-        Problem::Banded {
-            array,
-            lo,
-            hi,
-            objective,
-        } => {
-            let sub = SubArray::new(array, units.clone(), 0..array.cols());
-            let p = Problem::Banded {
-                array: &sub,
-                lo: &lo[units.clone()],
-                hi: &hi[units],
-                objective,
-            };
-            dispatcher.run(backend, &p, tuning, cancel)
-        }
-        Problem::Tube { d, e, objective } => {
-            let sub = SubArray::new(d, units, 0..d.cols());
-            let p = Problem::Tube {
-                d: &sub,
-                e,
-                objective,
-            };
-            dispatcher.run(backend, &p, tuning, cancel)
-        }
-    }
-}
-
 /// Concatenates a problem's strip solutions (already in unit order)
 /// back into the whole-problem solution, merging the strip telemetries.
+/// An unsplit member needs no concatenation or merge.
 fn stitch<T: Value>(
     problem: &Problem<'_, T>,
-    parts: Vec<StripPart<T>>,
+    mut parts: Vec<(Solution<T>, Telemetry)>,
 ) -> (Solution<T>, Telemetry) {
-    let mut tel = Telemetry::merge(parts.iter().map(|(_, _, t)| t));
+    if parts.len() == 1 {
+        let (sol, mut tel) = parts.pop().expect("one part");
+        tel.backend = BATCH;
+        return (sol, tel);
+    }
+    let mut tel = Telemetry::merge(parts.iter().map(|(_, t)| t));
     tel.backend = BATCH;
     let sol = match *problem {
         Problem::Rows { .. } | Problem::Staircase { .. } => {
             let mut index = Vec::new();
             let mut value = Vec::new();
-            for (_, s, _) in parts {
+            for (s, _) in parts {
                 let r = s.into_rows();
                 index.extend(r.index);
                 value.extend(r.value);
@@ -405,7 +320,7 @@ fn stitch<T: Value>(
         Problem::Banded { .. } => {
             let mut index = Vec::new();
             let mut value = Vec::new();
-            for (_, s, _) in parts {
+            for (s, _) in parts {
                 if let Solution::Banded {
                     index: si,
                     value: sv,
@@ -422,7 +337,7 @@ fn stitch<T: Value>(
             let mut p = 0;
             let mut index = Vec::new();
             let mut value = Vec::new();
-            for (_, s, _) in parts {
+            for (s, _) in parts {
                 let t = s.into_tube();
                 p += t.p;
                 index.extend(t.index);
@@ -434,26 +349,29 @@ fn stitch<T: Value>(
     (sol, tel)
 }
 
-/// One stitchable strip output: `(unit range, solution, telemetry)`.
-type StripPart<T> = (Range<usize>, Solution<T>, Telemetry);
+/// One fused member's output: the stitched solve, or `None` when the
+/// member takes the guarded walk instead (a strip was lost to a panic
+/// or to the group's cancellation, or the member had no units).
+type Fused<T> = Option<(Solution<T>, Telemetry)>;
 
-/// One chunk strip record: `(member index, unit range, result)`, where
-/// `None` marks a strip lost to a panic or to the group's cancellation.
-type ChunkStrip<T> = (usize, Range<usize>, Option<(Solution<T>, Telemetry)>);
-
-/// What one chunk produced: strip outputs in order, plus the fault
-/// kinds it observed (fed to the health registry at group granularity).
-struct ChunkOut<T> {
-    strips: Vec<ChunkStrip<T>>,
-    lost_panic: bool,
-    lost_deadline: bool,
+/// What the fused strips lost, fed to the health registry at group
+/// granularity (a deadline outranks a panic).
+#[derive(Clone, Copy, Debug, Default)]
+struct Lost {
+    panic: bool,
+    deadline: bool,
 }
 
-/// Group-level fused outcome: whether any strip was lost, and to what.
-#[derive(Clone, Copy, Debug, Default)]
-struct FusedOutcome {
-    lost_panic: bool,
-    lost_deadline: bool,
+impl Lost {
+    fn observation(self) -> Observation {
+        if self.deadline {
+            Observation::Deadline
+        } else if self.panic {
+            Observation::Panic
+        } else {
+            Observation::Ok
+        }
+    }
 }
 
 impl<T: Value> Dispatcher<T> {
@@ -481,51 +399,35 @@ impl<T: Value> Dispatcher<T> {
         problems: &[Problem<'_, T>],
         policy: &BatchPolicy,
     ) -> BatchReport<T> {
-        let start = Instant::now();
+        // Deadline errors report the batch's elapsed time and budget;
+        // each group's token enforces its own slice of that budget.
+        let batch = Budget {
+            start: Instant::now(),
+            deadline: policy.deadline,
+            token: None,
+        };
+        let guard = &policy.guard;
         let n = problems.len();
         let mut results: Vec<Option<Result<Solution<T>, SolveError>>> =
             (0..n).map(|_| None).collect();
         let mut telemetry: Vec<Telemetry> = (0..n).map(|_| Telemetry::default()).collect();
 
-        // --- Admission: preconditions + exactly one validation per
-        //     request (the fused path never re-validates, no matter how
-        //     many strips or fallbacks a problem sees). ---
+        // --- Admission: the guarded layer's own stage, exactly once per
+        //     request (no strip or fallback ever re-validates). Each
+        //     slot holds its admission record until the member solves.
         let mut admitted: Vec<usize> = Vec::new();
         let mut quarantined: Vec<usize> = Vec::new();
         for (i, p) in problems.iter().enumerate() {
-            if let Err(reason) = input_preconditions(p) {
-                results[i] = Some(Err(SolveError::InvalidInput { reason }));
-                continue;
-            }
-            let t0 = Instant::now();
-            let validated = catch_unwind(AssertUnwindSafe(|| validate(p, &policy.guard)));
-            let mut outcome = GuardOutcome {
-                validation: policy.guard.validation,
-                ..GuardOutcome::default()
-            };
-            outcome.validation_nanos = t0.elapsed().as_nanos();
-            match validated {
-                Ok(Ok(())) => {
-                    telemetry[i].guard = Some(outcome);
-                    admitted.push(i);
-                }
-                Ok(Err(witness)) => match policy.guard.on_violation {
-                    ViolationAction::Fail => {
-                        results[i] = Some(Err(SolveError::StructureViolation(witness)));
-                    }
-                    ViolationAction::Quarantine => {
-                        outcome.quarantined = true;
-                        outcome.witness = Some(*witness);
-                        telemetry[i].guard = Some(outcome);
+            match self.admit(p, guard, &batch) {
+                Ok(outcome) => {
+                    if outcome.quarantined {
                         quarantined.push(i);
+                    } else {
+                        admitted.push(i);
                     }
-                },
-                Err(payload) => {
-                    results[i] = Some(Err(SolveError::BackendPanic {
-                        backend: "validator",
-                        payload: payload_to_string(payload.as_ref()),
-                    }));
+                    telemetry[i].guard = Some(outcome);
                 }
+                Err(e) => results[i] = Some(Err(e)),
             }
         }
 
@@ -542,8 +444,8 @@ impl<T: Value> Dispatcher<T> {
         }
 
         // --- Deadline carving: per-group slices proportional to
-        //     estimated cost (quarantined problems form a brute-force
-        //     pseudo-group). ---
+        //     estimated cost (quarantined problems share one slice,
+        //     costed at their brute-force search area). ---
         let cost_of = |i: usize| -> u128 {
             let (units, unit) = cost_model(&problems[i]);
             units as u128 * unit as u128
@@ -560,114 +462,89 @@ impl<T: Value> Dispatcher<T> {
             })
             .sum();
         let total_cost: u128 = (group_costs.iter().sum::<u128>() + quarantine_cost).max(1);
-        let slice_for = |cost: u128| -> Option<Duration> {
-            policy
-                .deadline
-                .map(|d| Duration::from_secs_f64(d.as_secs_f64() * cost as f64 / total_cost as f64))
+        let slice = |cost: u128| Budget {
+            token: policy.deadline.map(|d| {
+                CancelToken::with_deadline(Duration::from_secs_f64(
+                    d.as_secs_f64() * cost as f64 / total_cost as f64,
+                ))
+            }),
+            ..batch
         };
 
-        // --- Execute each group: fused, or shed onto the guarded
-        //     fallback chain. ---
+        // --- Execute each group: fused, or shed onto the guarded walk.
+        //     Every member the fused path cannot answer takes the same
+        //     walk, under its group's slice. ---
         let mut shed_groups = 0usize;
         for ((_, members), &gcost) in groups.iter().zip(&group_costs) {
-            let token = slice_for(gcost).map(CancelToken::with_deadline);
+            let budget = slice(gcost);
             let (tuning, provenance) = self.resolve_group_tuning(policy, members, problems);
             let shed = policy.max_group_cost.is_some_and(|c| gcost > c as u128);
+            shed_groups += usize::from(shed);
             // The fused path runs on the sequential engine; its circuit
-            // breaker gates group selection. An Open circuit downgrades
-            // the whole group onto the guarded chain (which does its own
+            // breaker gates group selection. An Open circuit sends the
+            // whole group onto the guarded walk (which does its own
             // per-link admission) instead of fusing onto a backend that
             // is currently faulting.
-            let sequential = self.find("sequential");
-            let fused_admission = match (&sequential, shed) {
-                (Some(_), false) => self.health().admit("sequential"),
-                _ => Admission::Allow,
-            };
-            let breaker_denied = matches!(fused_admission, Admission::Deny { .. });
-            match (shed || breaker_denied, sequential) {
-                (false, Some(seq)) => {
-                    let t_group = Instant::now();
-                    let fused = self.run_group_fused(
+            let sequential = self.find("sequential").filter(|_| !shed);
+            let breaker_denied = sequential.is_some()
+                && matches!(self.health().admit("sequential"), Admission::Deny { .. });
+            let t_group = Instant::now();
+            let (fused, lost) = match sequential.filter(|_| !breaker_denied) {
+                Some(seq) => {
+                    let (fused, lost) = self.run_group_fused(
                         problems,
                         members,
                         seq,
                         &tuning,
-                        &token,
-                        policy,
-                        start,
-                        &mut results,
-                        &mut telemetry,
+                        budget.token.as_ref(),
                     );
-                    // One observation per fused group resolves a probe
-                    // and keeps the window's granularity independent of
-                    // group size.
-                    let group_nanos = t_group.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                    let observed = if fused.lost_deadline {
-                        Observation::Deadline
-                    } else if fused.lost_panic {
-                        Observation::Panic
-                    } else {
-                        Observation::Ok
-                    };
-                    self.health().record("sequential", observed, group_nanos);
+                    (fused, Some(lost))
                 }
-                _ => {
-                    if shed {
-                        shed_groups += 1;
-                    }
-                    for &i in members {
-                        let (res, tel) = self.downgrade_solve(&problems[i], policy, &token, tuning);
-                        merge_downgrade(&mut telemetry[i], tel);
-                        if breaker_denied {
-                            telemetry[i].breaker_skips =
-                                telemetry[i].breaker_skips.saturating_add(1);
-                        }
-                        results[i] = Some(res);
-                    }
-                }
-            }
-            // One group decision covers every member; stamp it after
-            // the executors have written their telemetry.
-            for &i in members {
-                telemetry[i].provenance = Some(provenance);
-            }
-        }
-
-        // --- Quarantine pseudo-group: brute force, which is correct
-        //     without the structural promise. ---
-        if !quarantined.is_empty() {
-            let token = slice_for(quarantine_cost).map(CancelToken::with_deadline);
-            let brute = BruteForceBackend;
-            let tuning = Tuning::from_env();
-            for &i in &quarantined {
-                if token.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    results[i] = Some(Err(self.batch_deadline_error(start, policy)));
-                    continue;
-                }
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    self.run(&brute, &problems[i], &tuning, token.as_ref())
-                }));
-                match attempt {
-                    Ok((sol, mut tel)) => {
+                None => (members.iter().map(|_| None).collect(), None),
+            };
+            for (&i, out) in members.iter().zip(fused) {
+                results[i] = Some(match out {
+                    Some((sol, mut tel)) => {
                         let mut outcome = telemetry[i].guard.take().unwrap_or_default();
                         outcome.attempts.push(Attempt {
-                            backend: BRUTE,
+                            backend: BATCH,
                             outcome: AttemptOutcome::Completed,
                         });
                         tel.guard = Some(outcome);
                         telemetry[i] = tel;
-                        results[i] = Some(Ok(sol));
+                        Ok(sol)
                     }
-                    Err(payload) if payload.downcast_ref::<Cancelled>().is_some() => {
-                        results[i] = Some(Err(self.batch_deadline_error(start, policy)));
+                    None => {
+                        self.walk_member(&problems[i], &mut telemetry[i], guard, &tuning, &budget)
                     }
-                    Err(payload) => {
-                        results[i] = Some(Err(SolveError::BackendPanic {
-                            backend: BRUTE,
-                            payload: payload_to_string(payload.as_ref()),
-                        }));
-                    }
+                });
+                if breaker_denied {
+                    telemetry[i].breaker_skips = telemetry[i].breaker_skips.saturating_add(1);
                 }
+                // One group decision covers every member.
+                telemetry[i].provenance = Some(provenance);
+            }
+            // One observation per fused group resolves a probe and
+            // keeps the window's granularity independent of group size.
+            if let Some(lost) = lost {
+                self.health()
+                    .record("sequential", lost.observation(), nanos_since(t_group));
+            }
+        }
+
+        // --- Quarantined members: the walk's brute-only chain, which
+        //     is correct without the structural promise. ---
+        if !quarantined.is_empty() {
+            let budget = slice(quarantine_cost);
+            let tuning = Tuning::from_env();
+            for &i in &quarantined {
+                results[i] = Some(self.walk_member(
+                    &problems[i],
+                    &mut telemetry[i],
+                    guard,
+                    &tuning,
+                    &budget,
+                ));
             }
         }
 
@@ -688,10 +565,10 @@ impl<T: Value> Dispatcher<T> {
         }
     }
 
-    /// One tuning for the whole group: explicit override, else one
-    /// autotune consultation keyed by the group's most expensive
-    /// member ([`Dispatcher::autotune_decision`] — the group key and
-    /// the autotune key share their `(kind, structure, size-class)`
+    /// One tuning for the whole group: one autotune consultation keyed
+    /// by the group's most expensive member
+    /// ([`Dispatcher::autotune_decision`] — the group key and the
+    /// autotune key share their `(kind, structure, size-class)`
     /// coordinates, so one table entry covers the whole group), else
     /// the environment. The winner's *backend* is ignored here: fused
     /// strips always run on the sequential engine, with the rayon pool
@@ -702,9 +579,6 @@ impl<T: Value> Dispatcher<T> {
         members: &[usize],
         problems: &[Problem<'_, T>],
     ) -> (Tuning, TuningProvenance) {
-        if let Some(t) = policy.tuning {
-            return (t, TuningProvenance::Default);
-        }
         if !policy.calibrate {
             return (Tuning::from_env(), TuningProvenance::Default);
         }
@@ -721,21 +595,17 @@ impl<T: Value> Dispatcher<T> {
     }
 
     /// The fused path: one scratch prewarm broadcast, one global work
-    /// list, Merge-Path chunks across the pool, stitch, and per-problem
-    /// downgrade of panicked or starved members.
-    #[allow(clippy::too_many_arguments)]
+    /// list, Merge-Path chunks across the pool, stitch. Returns one
+    /// entry per member (`None` for members that must take the guarded
+    /// walk) and what the strips lost.
     fn run_group_fused(
         &self,
         problems: &[Problem<'_, T>],
         members: &[usize],
         seq: &dyn Backend<T>,
         tuning: &Tuning,
-        token: &Option<CancelToken>,
-        policy: &BatchPolicy,
-        batch_start: Instant,
-        results: &mut [Option<Result<Solution<T>, SolveError>>],
-        telemetry: &mut [Telemetry],
-    ) -> FusedOutcome {
+        token: Option<&CancelToken>,
+    ) -> (Vec<Fused<T>>, Lost) {
         // One shared scratch-arena session: pre-grow every pool
         // thread's arena to the group's widest scan once, so no chunk
         // pays the growth memcpys mid-solve.
@@ -748,23 +618,7 @@ impl<T: Value> Dispatcher<T> {
             rayon::broadcast(|_| scratch::prewarm::<T>(2, max_cols));
         }
 
-        // Members with no units (empty arrays) bypass chunking: solve
-        // whole, exactly as the one-at-a-time path would.
-        let mut active: Vec<usize> = Vec::with_capacity(members.len());
-        for &i in members {
-            let (units, _) = cost_model(&problems[i]);
-            if units == 0 {
-                let (res, tel) =
-                    self.direct_solve(&problems[i], seq, tuning, token, policy, batch_start);
-                merge_downgrade(&mut telemetry[i], tel);
-                results[i] = Some(res);
-            } else {
-                active.push(i);
-            }
-        }
-        if active.is_empty() {
-            return FusedOutcome::default();
-        }
+        let costs: Vec<(usize, u64)> = members.iter().map(|&i| cost_model(&problems[i])).collect();
 
         // The global work list and its equal-cost chunks. On a
         // single-thread pool, splitting is pure strip-boundary overhead
@@ -774,7 +628,6 @@ impl<T: Value> Dispatcher<T> {
         // (`seq_rows`): a strip re-reads its boundary rows, so cutting
         // finer than the grain the engine would never fork at only adds
         // evaluations.
-        let costs: Vec<(usize, u64)> = active.iter().map(|&i| cost_model(&problems[i])).collect();
         let threads = rayon::current_num_threads().max(1);
         let chunk_count = if threads == 1 {
             1
@@ -785,177 +638,81 @@ impl<T: Value> Dispatcher<T> {
         };
         let chunks = plan_chunks(&costs, chunk_count);
 
-        let chunk_outs: Vec<ChunkOut<T>> = runtime::par_map(&chunks, |chunk| {
+        let chunk_outs = runtime::par_map(&chunks, |chunk| {
             let mut strips = Vec::with_capacity(chunk.len());
-            let mut cancelled = false;
-            let mut lost_panic = false;
+            let mut lost = Lost::default();
             for strip in chunk {
-                let i = active[strip.member];
                 // The cooperative-cancellation checkpoint at the
                 // strip (chunk-internal) boundary.
-                if cancelled || token.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    cancelled = true;
-                    strips.push((strip.member, strip.units.clone(), None));
+                if lost.deadline || token.is_some_and(CancelToken::is_cancelled) {
+                    lost.deadline = true;
+                    strips.push((strip.member, None));
                     continue;
                 }
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    let units = strip.units.clone();
-                    solve_strip(self, seq, &problems[i], units, tuning, token.as_ref())
-                }));
-                match attempt {
-                    Ok(out) => strips.push((strip.member, strip.units.clone(), Some(out))),
-                    Err(payload) => {
-                        if payload.downcast_ref::<Cancelled>().is_some() {
-                            cancelled = true;
-                        } else {
-                            lost_panic = true;
-                        }
-                        strips.push((strip.member, strip.units.clone(), None));
+                let problem = &problems[members[strip.member]];
+                let out = match contained(|| {
+                    problem.with_rows(strip.units.clone(), |window| {
+                        self.run(seq, window, tuning, token)
+                    })
+                }) {
+                    Ok(out) => Some(out),
+                    Err(Fault::Deadline) => {
+                        lost.deadline = true;
+                        None
                     }
-                }
+                    Err(Fault::Panic(_)) => {
+                        lost.panic = true;
+                        None
+                    }
+                };
+                strips.push((strip.member, out));
             }
-            ChunkOut {
-                strips,
-                lost_panic,
-                lost_deadline: cancelled,
-            }
+            (strips, lost)
         });
 
-        // Stitch per member; any member with a missing strip is
-        // downgraded whole onto the guarded fallback chain with
-        // whatever budget is left of the group's slice.
-        let mut parts: Vec<Vec<StripPart<T>>> = active.iter().map(|_| Vec::new()).collect();
-        let mut broken = vec![false; active.len()];
-        let mut fused = FusedOutcome::default();
-        for chunk in chunk_outs {
-            fused.lost_panic |= chunk.lost_panic;
-            fused.lost_deadline |= chunk.lost_deadline;
-            for (member, units, out) in chunk.strips {
+        // Stitch per member. A member with a lost strip takes the
+        // guarded walk, and so does one with no units (an empty array
+        // has nothing to chunk).
+        let mut parts: Vec<Vec<(Solution<T>, Telemetry)>> =
+            members.iter().map(|_| Vec::new()).collect();
+        let mut broken: Vec<bool> = costs.iter().map(|&(units, _)| units == 0).collect();
+        let mut lost = Lost::default();
+        for (strips, chunk_lost) in chunk_outs {
+            lost.panic |= chunk_lost.panic;
+            lost.deadline |= chunk_lost.deadline;
+            for (member, out) in strips {
                 match out {
-                    Some((sol, tel)) => parts[member].push((units, sol, tel)),
+                    Some(part) => parts[member].push(part),
                     None => broken[member] = true,
                 }
             }
         }
-        for (member, member_parts) in parts.into_iter().enumerate() {
-            let i = active[member];
-            let units = costs[member].0;
-            let mut covered = 0usize;
-            let contiguous = member_parts.iter().all(|(r, _, _)| {
-                let ok = r.start == covered;
-                covered = r.end;
-                ok
-            });
-            if broken[member] || !contiguous || covered != units {
-                let (res, tel) = self.downgrade_solve(&problems[i], policy, token, *tuning);
-                merge_downgrade(&mut telemetry[i], tel);
-                results[i] = Some(res);
-                continue;
-            }
-            // An unsplit member needs no concatenation or merge.
-            let (sol, mut tel) = if member_parts.len() == 1 {
-                let (_, sol, mut tel) = member_parts.into_iter().next().expect("one part");
-                tel.backend = BATCH;
-                (sol, tel)
-            } else {
-                stitch(&problems[i], member_parts)
-            };
-            let mut outcome = telemetry[i].guard.take().unwrap_or_default();
-            outcome.attempts.push(Attempt {
-                backend: BATCH,
-                outcome: AttemptOutcome::Completed,
-            });
-            tel.guard = Some(outcome);
-            telemetry[i] = tel;
-            results[i] = Some(Ok(sol));
-        }
-        fused
+        let fused = parts
+            .into_iter()
+            .zip(broken)
+            .zip(members)
+            .map(|((member_parts, broken), &i)| {
+                (!broken).then(|| stitch(&problems[i], member_parts))
+            })
+            .collect();
+        (fused, lost)
     }
 
-    /// Whole-problem solve on the group backend (empty problems, which
-    /// have no units to chunk).
-    fn direct_solve(
+    /// Walks one member's guarded fallback chain under `budget`,
+    /// starting from the admission record its telemetry slot holds. On
+    /// failure the slot keeps that record.
+    fn walk_member(
         &self,
         problem: &Problem<'_, T>,
-        seq: &dyn Backend<T>,
+        slot: &mut Telemetry,
+        guard: &GuardPolicy,
         tuning: &Tuning,
-        token: &Option<CancelToken>,
-        policy: &BatchPolicy,
-        batch_start: Instant,
-    ) -> (Result<Solution<T>, SolveError>, Telemetry) {
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            self.run(seq, problem, tuning, token.as_ref())
-        }));
-        match attempt {
-            Ok((sol, mut tel)) => {
-                tel.backend = BATCH;
-                (Ok(sol), tel)
-            }
-            Err(payload) if payload.downcast_ref::<Cancelled>().is_some() => (
-                Err(self.batch_deadline_error(batch_start, policy)),
-                Telemetry::default(),
-            ),
-            Err(payload) => (
-                Err(SolveError::BackendPanic {
-                    backend: seq.name(),
-                    payload: payload_to_string(payload.as_ref()),
-                }),
-                Telemetry::default(),
-            ),
-        }
-    }
-
-    /// Downgrades one problem onto the `solve_guarded` fallback chain:
-    /// validation off (the batch already validated it once), deadline
-    /// clamped to what remains of the group's slice.
-    fn downgrade_solve(
-        &self,
-        problem: &Problem<'_, T>,
-        policy: &BatchPolicy,
-        token: &Option<CancelToken>,
-        tuning: Tuning,
-    ) -> (Result<Solution<T>, SolveError>, Telemetry) {
-        let deadline = match token {
-            Some(tok) => tok.remaining(),
-            None => None,
-        };
-        let guard = GuardPolicy {
-            validation: Validation::Off,
-            deadline,
-            ..policy.guard
-        };
-        match self.solve_guarded_with(problem, &guard, tuning) {
-            Ok((sol, tel)) => (Ok(sol), tel),
-            Err(e) => (Err(e), Telemetry::default()),
-        }
-    }
-
-    fn batch_deadline_error(&self, start: Instant, policy: &BatchPolicy) -> SolveError {
-        SolveError::DeadlineExceeded {
-            elapsed: start.elapsed(),
-            deadline: policy.deadline.unwrap_or_default(),
-        }
-    }
-}
-
-/// Folds a downgraded (or direct) solve's telemetry into the slot that
-/// already holds the batch-stage validation record, keeping the
-/// admission stage's guard outcome fields when the solve brought none.
-fn merge_downgrade(slot: &mut Telemetry, solved: Telemetry) {
-    let admission = slot.guard.take();
-    *slot = solved;
-    match (&mut slot.guard, admission) {
-        (Some(g), Some(a)) => {
-            // The batch validated during admission; the downgraded solve
-            // ran with validation off. Surface the real record.
-            g.validation = a.validation;
-            g.validation_nanos = a.validation_nanos;
-            if g.witness.is_none() {
-                g.witness = a.witness;
-            }
-        }
-        (slot_guard @ None, Some(a)) => *slot_guard = Some(a),
-        _ => {}
+        budget: &Budget,
+    ) -> Result<Solution<T>, SolveError> {
+        let admitted = slot.guard.clone().unwrap_or_default();
+        let (sol, tel) = self.walk(problem, admitted, guard, tuning, budget, None)?;
+        *slot = tel;
+        Ok(sol)
     }
 }
 
@@ -1264,6 +1021,7 @@ impl<'a, T: Value> SolverService<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guarded::BRUTE;
     use monge_core::array2d::{Array2d, Dense};
     use monge_core::generators::random_monge_dense;
     use monge_core::problem::Objective;

@@ -1,14 +1,32 @@
-//! The guarded solve layer: [`Dispatcher::solve_guarded`] runs each
-//! backend of a deterministic fallback chain under `catch_unwind`,
-//! validates the caller's structural promise per [`GuardPolicy`], and
-//! degrades gracefully — selected backend → rayon → sequential SMAWK →
-//! brute-force scan — instead of panicking or silently returning
-//! corrupt minima.
+//! The guarded request core: [`Dispatcher::solve_guarded`] validates
+//! the caller's structural promise per [`GuardPolicy`], runs each
+//! backend of a deterministic fallback chain as a contained attempt,
+//! and degrades gracefully — selected backend → rayon → sequential
+//! SMAWK → brute-force scan — instead of panicking or silently
+//! returning corrupt minima.
+//!
+//! ## One request path
+//!
+//! Every guarded request — a `solve_guarded` call, a batch member, an
+//! index build — runs the same two stages:
+//!
+//! * **admit** — input preconditions, then exactly one validation pass
+//!   under `contained`. A broken promise is recorded against the
+//!   `"validator"` health pseudo-backend, then fails the request
+//!   (`Fail`) or marks its [`GuardOutcome`] quarantined.
+//! * **walk** — the fallback chain below, starting from the admission
+//!   record, under the request's `Budget` (its deadline token).
+//!
+//! The batch layer ([`crate::batch`]) admits every member, answers what
+//! its fused Merge-Path path can, and sends every other member —
+//! quarantined, shed, breaker-denied, lost-strip or empty — down the
+//! same walk. The index build ([`crate::queryindex`]) admits, then runs
+//! its build as one contained attempt.
 //!
 //! ## Fallback chain
 //!
 //! ```text
-//!   validate (off / sampled / full)
+//!   admit: preconditions, validate (off / sampled / full)
 //!        │ violation: Fail → Err(StructureViolation{witness})
 //!        │ violation: Quarantine → chain = [brute]
 //!        ▼
@@ -28,21 +46,20 @@
 //! every candidate without using the structural promise, so it returns
 //! correct extrema even for arrays whose Monge promise is broken.
 //!
-//! Validation runs **exactly once per request**, before the chain walk:
-//! fallback attempts never re-validate, so
-//! [`GuardOutcome::validation_nanos`] is a one-shot cost independent of
-//! fallback depth (pinned by the `validation_once` regression tests,
-//! and what makes the batch layer's validate-at-admission bookkeeping
-//! equivalent to this one).
+//! Validation runs **exactly once per request**, at admission: fallback
+//! attempts never re-validate, so [`GuardOutcome::validation_nanos`] is
+//! a one-shot cost independent of fallback depth and of the entry
+//! point (pinned by the `validation_once` regression tests).
 //!
 //! Deadlines are cooperative: the engines call
 //! [`monge_core::guard::checkpoint`] at recursion leaves and
-//! interval-scan boundaries; `solve_guarded` installs a
-//! [`monge_core::guard::CancelToken`] for the duration of each attempt
-//! and converts the resulting [`Cancelled`] unwind into
-//! [`SolveError::DeadlineExceeded`].
+//! interval-scan boundaries; each attempt installs the request's
+//! [`monge_core::guard::CancelToken`], and `contained` — the one
+//! place the serving stack catches unwinds — tells the resulting
+//! [`Cancelled`] unwind ([`SolveError::DeadlineExceeded`]) from a fault
+//! ([`SolveError::BackendPanic`]).
 //!
-//! ## Resilience (PR 9)
+//! ## Resilience
 //!
 //! The chain walk consults the dispatcher's [`crate::health`] registry
 //! per link: a backend whose circuit breaker is Open is *skipped*
@@ -51,11 +68,12 @@
 //! registry's sliding window. The [`BruteForceBackend`] terminal is
 //! exempt — a degraded process always reaches the correct slow path —
 //! so [`SolveError::CircuitOpen`] only surfaces when the caller pinned
-//! or truncated the chain away from the terminal. Transient faults
-//! (panics, and deadline aborts with slack remaining) retry in place
-//! under [`monge_core::guard::RetryPolicy`]'s seeded decorrelated
-//! jitter, gated by the registry's global retry budget; each retry is a
-//! fresh [`GuardOutcome::attempts`] entry and is counted in
+//! or truncated the chain away from the terminal. Each walk credits the
+//! global retry budget once. Transient faults (panics, and deadline
+//! aborts with slack remaining) retry in place under
+//! [`monge_core::guard::RetryPolicy`]'s seeded decorrelated jitter,
+//! gated by that budget; each retry is a fresh
+//! [`GuardOutcome::attempts`] entry and is counted in
 //! [`Telemetry::retries`]. Successful solves carry a
 //! [`Telemetry::health_snapshot`] of every tracked backend.
 
@@ -90,6 +108,11 @@ pub struct BruteForceBackend;
 
 /// The registry name of [`BruteForceBackend`].
 pub const BRUTE: &str = "brute";
+
+/// The health-registry pseudo-backend broken promises are recorded
+/// against, and the [`SolveError::BackendPanic`] label of a panicking
+/// validation pass.
+const VALIDATOR: &str = "validator";
 
 impl<T: Value> Backend<T> for BruteForceBackend {
     fn name(&self) -> &'static str {
@@ -291,6 +314,76 @@ pub(crate) fn validate<T: Value>(
     }
 }
 
+/// Why a [`contained`] call produced no value.
+#[derive(Debug)]
+pub(crate) enum Fault {
+    /// The installed [`CancelToken`] fired: a [`Cancelled`] unwind.
+    Deadline,
+    /// Any other panic, payload rendered.
+    Panic(String),
+}
+
+impl Fault {
+    /// The typed error a request reports for this fault in `backend`.
+    pub(crate) fn into_error(self, backend: &'static str, budget: &Budget) -> SolveError {
+        match self {
+            Fault::Deadline => budget.exceeded(),
+            Fault::Panic(payload) => SolveError::BackendPanic { backend, payload },
+        }
+    }
+}
+
+/// Runs `f` with every unwind contained — the one place the serving
+/// stack catches panics and tells a deadline abort from a fault.
+pub(crate) fn contained<R>(f: impl FnOnce() -> R) -> Result<R, Fault> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if payload.downcast_ref::<Cancelled>().is_some() {
+            Fault::Deadline
+        } else {
+            Fault::Panic(payload_to_string(payload.as_ref()))
+        }
+    })
+}
+
+/// A request's wall-clock budget: when it started, the deadline it
+/// reports on expiry, and the token that enforces it (a batch group's
+/// token enforces that group's slice of the batch deadline).
+pub(crate) struct Budget {
+    pub(crate) start: Instant,
+    pub(crate) deadline: Option<Duration>,
+    pub(crate) token: Option<CancelToken>,
+}
+
+impl Budget {
+    /// A budget starting now, enforced by a token when `deadline` is set.
+    pub(crate) fn new(deadline: Option<Duration>) -> Self {
+        Budget {
+            start: Instant::now(),
+            deadline,
+            token: deadline.map(CancelToken::with_deadline),
+        }
+    }
+
+    /// Has the enforcing token fired?
+    pub(crate) fn expired(&self) -> bool {
+        self.token.as_ref().is_some_and(CancelToken::is_cancelled)
+    }
+
+    /// The [`SolveError::DeadlineExceeded`] this budget reports.
+    pub(crate) fn exceeded(&self) -> SolveError {
+        SolveError::DeadlineExceeded {
+            elapsed: self.start.elapsed(),
+            deadline: self.deadline.unwrap_or_default(),
+        }
+    }
+}
+
+/// Wall-clock nanoseconds since `t0`, saturated into the registry's
+/// latency unit.
+pub(crate) fn nanos_since(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 impl<T: Value> Dispatcher<T> {
     /// Guarded solve with environment-seeded tuning: validates the
     /// structural promise, then walks the fallback chain starting from
@@ -314,13 +407,21 @@ impl<T: Value> Dispatcher<T> {
         policy: &GuardPolicy,
         tuning: Tuning,
     ) -> Result<(Solution<T>, Telemetry), SolveError> {
-        if self.find(name).is_none() {
+        let Some(first) = self.find(name) else {
             return Err(SolveError::InvalidInput {
                 reason: format!("no backend named '{name}' is registered"),
             });
-        }
-        let first = self.find(name).map(|b| b.name());
-        self.guarded_impl(problem, policy, tuning, first)
+        };
+        let budget = Budget::new(policy.deadline);
+        let admitted = self.admit(problem, policy, &budget)?;
+        self.walk(
+            problem,
+            admitted,
+            policy,
+            &tuning,
+            &budget,
+            Some(first.name()),
+        )
     }
 
     /// Guarded solve with explicit tuning.
@@ -330,71 +431,78 @@ impl<T: Value> Dispatcher<T> {
         policy: &GuardPolicy,
         tuning: Tuning,
     ) -> Result<(Solution<T>, Telemetry), SolveError> {
-        self.guarded_impl(problem, policy, tuning, None)
+        let budget = Budget::new(policy.deadline);
+        let admitted = self.admit(problem, policy, &budget)?;
+        self.walk(problem, admitted, policy, &tuning, &budget, None)
     }
 
-    fn guarded_impl(
+    /// The admission stage every guarded request passes exactly once:
+    /// input preconditions, then one contained validation pass per
+    /// `policy`. A broken promise is recorded against the `"validator"`
+    /// pseudo-backend (never admission-checked, but visible in
+    /// snapshots), then fails the request (`Fail`) or sets the returned
+    /// outcome's `quarantined` flag (`Quarantine`), which sends
+    /// [`Dispatcher::walk`] straight to the brute terminal.
+    pub(crate) fn admit(
         &self,
         problem: &Problem<'_, T>,
         policy: &GuardPolicy,
-        tuning: Tuning,
-        first: Option<&'static str>,
-    ) -> Result<(Solution<T>, Telemetry), SolveError> {
-        let start = Instant::now();
-        let token = policy.deadline.map(CancelToken::with_deadline);
-        let health = self.health();
-        // Every admitted request credits the global retry budget (see
-        // `crate::health`): retries stay a bounded fraction of load.
-        health.credit_request();
+        budget: &Budget,
+    ) -> Result<GuardOutcome, SolveError> {
+        input_preconditions(problem).map_err(|reason| SolveError::InvalidInput { reason })?;
+        let t0 = Instant::now();
+        let validated = contained(|| validate(problem, policy));
         let mut outcome = GuardOutcome {
             validation: policy.validation,
+            validation_nanos: t0.elapsed().as_nanos(),
             ..GuardOutcome::default()
         };
-
-        // --- Input sanity the engines otherwise assert on. ---
-        if let Err(reason) = input_preconditions(problem) {
-            return Err(SolveError::InvalidInput { reason });
-        }
-
-        // --- Validation (under catch_unwind: the array itself may
-        //     panic while being read). ---
-        let t0 = Instant::now();
-        let validated = catch_unwind(AssertUnwindSafe(|| validate(problem, policy)));
-        outcome.validation_nanos = t0.elapsed().as_nanos();
-        let quarantined = match validated {
-            Ok(Ok(())) => false,
-            Ok(Err(witness)) => {
-                // Broken promises are a health signal too: recorded
-                // against the "validator" pseudo-backend, which is
-                // never admission-checked (it is not a chain link) but
-                // shows up in snapshots.
-                health.record(
-                    "validator",
-                    Observation::Violation,
-                    outcome.validation_nanos.min(u64::MAX as u128) as u64,
-                );
+        match validated.map_err(|fault| fault.into_error(VALIDATOR, budget))? {
+            Ok(()) => {}
+            Err(witness) => {
+                self.health()
+                    .record(VALIDATOR, Observation::Violation, nanos_since(t0));
                 match policy.on_violation {
                     ViolationAction::Fail => return Err(SolveError::StructureViolation(witness)),
                     ViolationAction::Quarantine => {
                         outcome.quarantined = true;
                         outcome.witness = Some(*witness);
-                        true
                     }
                 }
             }
-            Err(payload) => {
-                return Err(SolveError::BackendPanic {
-                    backend: "validator",
-                    payload: payload_to_string(payload.as_ref()),
-                })
-            }
-        };
+        }
+        Ok(outcome)
+    }
+
+    /// Walks the deterministic fallback chain for an admitted request:
+    /// `first` (else the auto-selected backend) → rayon → sequential →
+    /// brute, or brute alone when `outcome` is quarantined, truncated
+    /// to `policy.max_fallback_depth + 1` links. Each attempt runs
+    /// [`contained`] under `budget`'s token; the breaker is consulted
+    /// per link (never for the brute terminal), and transient faults
+    /// retry in place under the policy's backoff while the global
+    /// budget allows. `outcome` — the request's admission record —
+    /// becomes the success telemetry's [`GuardOutcome`], with every
+    /// attempt appended.
+    pub(crate) fn walk(
+        &self,
+        problem: &Problem<'_, T>,
+        mut outcome: GuardOutcome,
+        policy: &GuardPolicy,
+        tuning: &Tuning,
+        budget: &Budget,
+        first: Option<&'static str>,
+    ) -> Result<(Solution<T>, Telemetry), SolveError> {
+        let health = self.health();
+        // Every admitted request credits the global retry budget (see
+        // `crate::health`): retries stay a bounded fraction of load.
+        health.credit_request();
 
         // --- Build the deterministic fallback chain. ---
         let brute = BruteForceBackend;
         let mut chain: Vec<&dyn Backend<T>> = Vec::new();
-        if !quarantined {
-            let auto = first.unwrap_or_else(|| self.select(problem, &tuning).name());
+        if !outcome.quarantined {
+            let auto = first.unwrap_or_else(|| self.select(problem, tuning).name());
             for name in [auto, "rayon", "sequential"] {
                 if chain.iter().any(|b| b.name() == name) {
                     continue;
@@ -409,10 +517,6 @@ impl<T: Value> Dispatcher<T> {
         chain.push(&brute);
         chain.truncate(policy.max_fallback_depth + 1);
 
-        // --- Walk the chain, each attempt under catch_unwind. The
-        //     breaker is consulted per link at walk time (never for the
-        //     brute terminal); transient faults retry in place under
-        //     the policy's backoff while the global budget allows. ---
         let retry = policy.retry;
         let mut last_panic: Option<SolveError> = None;
         let mut skipped_open: Option<(&'static str, Duration)> = None;
@@ -420,10 +524,8 @@ impl<T: Value> Dispatcher<T> {
         let mut breaker_skips: u64 = 0;
         let mut attempted_any = false;
         for backend in chain.iter() {
-            if let Some(tok) = &token {
-                if tok.is_cancelled() {
-                    return Err(deadline_error(start, policy));
-                }
+            if budget.expired() {
+                return Err(budget.exceeded());
             }
             let name = backend.name();
             if name != BRUTE {
@@ -440,70 +542,56 @@ impl<T: Value> Dispatcher<T> {
                 attempts_here += 1;
                 attempted_any = true;
                 let t_attempt = Instant::now();
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    self.run(*backend, problem, &tuning, token.as_ref())
-                }));
-                let latency = t_attempt.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                match attempt {
+                let attempt =
+                    contained(|| self.run(*backend, problem, tuning, budget.token.as_ref()));
+                let latency = nanos_since(t_attempt);
+                let (observation, attempt_outcome) = match &attempt {
+                    Ok(_) => (Observation::Ok, AttemptOutcome::Completed),
+                    Err(Fault::Deadline) => {
+                        (Observation::Deadline, AttemptOutcome::DeadlineExceeded)
+                    }
+                    Err(Fault::Panic(_)) => (Observation::Panic, AttemptOutcome::Panicked),
+                };
+                health.record(name, observation, latency);
+                outcome.attempts.push(Attempt {
+                    backend: name,
+                    outcome: attempt_outcome,
+                });
+                // A deadline abort only retries when slack remains —
+                // i.e. an explicit cancel raced a deadline that has not
+                // actually elapsed; a panic retries while the deadline
+                // is live.
+                let retryable = match attempt {
                     Ok((solution, mut telemetry)) => {
-                        health.record(name, Observation::Ok, latency);
-                        outcome.attempts.push(Attempt {
-                            backend: name,
-                            outcome: AttemptOutcome::Completed,
-                        });
                         telemetry.guard = Some(outcome);
                         telemetry.retries = retries;
                         telemetry.breaker_skips = breaker_skips;
                         telemetry.health_snapshot = Some(health.snapshot());
                         return Ok((solution, telemetry));
                     }
-                    Err(payload) => {
-                        if payload.downcast_ref::<Cancelled>().is_some() {
-                            health.record(name, Observation::Deadline, latency);
-                            outcome.attempts.push(Attempt {
-                                backend: name,
-                                outcome: AttemptOutcome::DeadlineExceeded,
-                            });
-                            // A deadline abort only retries when slack
-                            // remains — i.e. an explicit cancel raced a
-                            // deadline that has not actually elapsed.
-                            let slack = token
-                                .as_ref()
-                                .and_then(|t| t.remaining())
-                                .unwrap_or(Duration::ZERO);
-                            if !slack.is_zero()
-                                && retry.allows(attempts_here)
-                                && health.try_spend_retry()
-                            {
-                                retries += 1;
-                                health
-                                    .clock()
-                                    .sleep(retry.backoff(policy.seed, attempts_here));
-                                continue;
-                            }
-                            return Err(deadline_error(start, policy));
-                        }
-                        health.record(name, Observation::Panic, latency);
-                        outcome.attempts.push(Attempt {
-                            backend: name,
-                            outcome: AttemptOutcome::Panicked,
-                        });
+                    Err(Fault::Deadline) => {
+                        let slack = budget.token.as_ref().and_then(CancelToken::remaining);
+                        !slack.unwrap_or(Duration::ZERO).is_zero()
+                    }
+                    Err(Fault::Panic(payload)) => {
                         last_panic = Some(SolveError::BackendPanic {
                             backend: name,
-                            payload: payload_to_string(payload.as_ref()),
+                            payload,
                         });
-                        let deadline_live = token.as_ref().is_none_or(|t| !t.is_cancelled());
-                        if deadline_live && retry.allows(attempts_here) && health.try_spend_retry()
-                        {
-                            retries += 1;
-                            health
-                                .clock()
-                                .sleep(retry.backoff(policy.seed, attempts_here));
-                            continue;
-                        }
-                        break; // next chain link
+                        !budget.expired()
                     }
+                };
+                if retryable && retry.allows(attempts_here) && health.try_spend_retry() {
+                    retries += 1;
+                    health
+                        .clock()
+                        .sleep(retry.backoff(policy.seed, attempts_here));
+                    continue;
                 }
+                if attempt_outcome == AttemptOutcome::DeadlineExceeded {
+                    return Err(budget.exceeded());
+                }
+                break; // next chain link
             }
         }
         if !attempted_any {
@@ -521,13 +609,6 @@ impl<T: Value> Dispatcher<T> {
             backend: BRUTE,
             payload: "fallback chain was empty".to_string(),
         }))
-    }
-}
-
-fn deadline_error(start: Instant, policy: &GuardPolicy) -> SolveError {
-    SolveError::DeadlineExceeded {
-        elapsed: start.elapsed(),
-        deadline: policy.deadline.unwrap_or_default(),
     }
 }
 

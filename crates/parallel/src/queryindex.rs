@@ -4,36 +4,36 @@
 //! instrumented into a [`Telemetry`].
 //!
 //! The index itself lives in [`monge_core::queryindex`]; this module is
-//! the serving-stack entry point mirroring `solve_guarded`:
+//! the serving-stack entry point, and it shares `solve_guarded`'s
+//! request core ([`crate::guarded`]) rather than re-implementing it:
 //!
-//! * the structural promise is validated per [`GuardPolicy`] before any
-//!   preprocessing — but unlike a solve, a violated promise cannot be
-//!   quarantined onto a brute backend (there is no per-query brute path
-//!   inside an index), so both violation actions fail the build with
+//! * the request passes the same admission stage — preconditions, then
+//!   one contained validation pass per [`GuardPolicy`], with a broken
+//!   promise recorded against the `"validator"` health pseudo-backend.
+//!   Unlike a solve, a violated promise cannot be quarantined onto a
+//!   brute backend (there is no per-query brute path inside an index),
+//!   so both violation actions fail the build with
 //!   [`SolveError::StructureViolation`];
-//! * the build runs under `catch_unwind` with the policy's deadline
-//!   installed as a cooperative [`CancelToken`] — the index build loops
-//!   call `guard::checkpoint`, so an expired budget surfaces as
-//!   [`SolveError::DeadlineExceeded`], not a hang;
+//! * the build is one contained attempt with the policy's deadline
+//!   installed as a cooperative cancellation token — the index build
+//!   loops call `guard::checkpoint`, so an expired budget surfaces as
+//!   [`SolveError::DeadlineExceeded`], not a hang, and any other panic
+//!   as [`SolveError::BackendPanic`];
 //! * the returned [`Telemetry`] carries the build's evaluation count
 //!   (exactly one evaluation per source entry), an `"index_build"`
 //!   phase, and the index accounting fields (`index_builds`,
 //!   `index_bytes`, `index_breakpoints`).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use monge_core::guard::{
-    payload_to_string, Attempt, AttemptOutcome, CancelToken, Cancelled, GuardOutcome, GuardPolicy,
-    SolveError,
-};
-use monge_core::problem::{Metered, Problem, Structure, Telemetry};
+use monge_core::guard::{Attempt, AttemptOutcome, GuardPolicy, SolveError};
+use monge_core::problem::{Metered, Problem, Telemetry};
 use monge_core::queryindex::QueryIndex;
 use monge_core::value::Value;
 use monge_core::{ctx, kernel};
 
 use crate::dispatch::Dispatcher;
-use crate::guarded::validate;
+use crate::guarded::{contained, Budget};
 
 /// The [`Telemetry::backend`] label of index builds.
 pub const QUERYINDEX: &str = "queryindex";
@@ -53,9 +53,9 @@ impl<T: Value> Dispatcher<T> {
     }
 
     /// Preprocesses a rows problem's array into a [`QueryIndex`] under
-    /// `policy`: validation per the policy's mode, the build under
-    /// `catch_unwind` with the policy deadline installed as a
-    /// cooperative cancellation token.
+    /// `policy`: the guarded admission stage (validation per the
+    /// policy's mode), then the build as one contained attempt with the
+    /// policy deadline installed as a cooperative cancellation token.
     ///
     /// The problem's objective is irrelevant — the index always serves
     /// both [`QueryIndex::query_min`] and [`QueryIndex::query_max`] —
@@ -66,7 +66,8 @@ impl<T: Value> Dispatcher<T> {
     /// # Errors
     ///
     /// * [`SolveError::InvalidInput`] — not a rows problem, a
-    ///   [`Structure::Plain`] promise, or an empty array.
+    ///   [`Structure::Plain`](monge_core::problem::Structure::Plain)
+    ///   promise, or an empty array.
     /// * [`SolveError::StructureViolation`] — validation found the
     ///   promise broken (under *either* violation action; an index over
     ///   a broken promise has no brute path to quarantine onto).
@@ -79,91 +80,50 @@ impl<T: Value> Dispatcher<T> {
         problem: &Problem<'_, T>,
         policy: &GuardPolicy,
     ) -> Result<(QueryIndex<T>, Telemetry), SolveError> {
-        let start = Instant::now();
-        let (array, structure) = match *problem {
-            Problem::Rows {
-                array, structure, ..
-            } => {
-                if structure == Structure::Plain {
-                    return Err(SolveError::InvalidInput {
-                        reason: "query index requires a Monge or inverse-Monge promise".to_string(),
-                    });
-                }
-                (array, structure)
-            }
-            _ => {
-                return Err(SolveError::InvalidInput {
-                    reason: format!(
-                        "query indexes serve rows problems, not {:?}",
-                        problem.kind()
-                    ),
-                })
-            }
+        let Problem::Rows {
+            array, structure, ..
+        } = *problem
+        else {
+            return Err(SolveError::InvalidInput {
+                reason: format!(
+                    "query indexes serve rows problems, not {:?}",
+                    problem.kind()
+                ),
+            });
         };
-        let token = policy.deadline.map(CancelToken::with_deadline);
-        let mut outcome = GuardOutcome {
-            validation: policy.validation,
-            ..GuardOutcome::default()
-        };
-
-        let t0 = Instant::now();
-        let validated = catch_unwind(AssertUnwindSafe(|| validate(problem, policy)));
-        outcome.validation_nanos = t0.elapsed().as_nanos();
-        match validated {
-            Ok(Ok(())) => {}
-            Ok(Err(witness)) => return Err(SolveError::StructureViolation(witness)),
-            Err(payload) => {
-                return Err(SolveError::BackendPanic {
-                    backend: "validator",
-                    payload: payload_to_string(&*payload),
-                })
-            }
+        let budget = Budget::new(policy.deadline);
+        let mut outcome = self.admit(problem, policy, &budget)?;
+        if let Some(witness) = outcome.witness.take() {
+            // Quarantined: an index has no brute path to degrade onto.
+            return Err(SolveError::StructureViolation(Box::new(witness)));
         }
 
         let t_build = Instant::now();
         let metered = Metered::new(array);
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            ctx::scope(token, kernel::selected(), || {
+        let ix = contained(|| {
+            ctx::scope(budget.token.clone(), kernel::selected(), || {
                 QueryIndex::build(&metered, structure)
             })
             .0
-        }));
-        let build_nanos = t_build.elapsed().as_nanos();
-        match attempt {
-            Ok(Ok(ix)) => {
-                outcome.attempts.push(Attempt {
-                    backend: QUERYINDEX,
-                    outcome: AttemptOutcome::Completed,
-                });
-                let mut tel = Telemetry {
-                    backend: QUERYINDEX,
-                    kind: Some(problem.kind()),
-                    ..Telemetry::default()
-                };
-                tel.evaluations = metered.evaluations();
-                tel.record_phase("index_build", build_nanos);
-                tel.total_nanos = start.elapsed().as_nanos();
-                tel.index_builds = 1;
-                tel.index_bytes = ix.bytes();
-                tel.index_breakpoints = ix.breakpoints();
-                tel.guard = Some(outcome);
-                Ok((ix, tel))
-            }
-            Ok(Err(e)) => Err(e),
-            Err(payload) => {
-                if payload.downcast_ref::<Cancelled>().is_some() {
-                    Err(SolveError::DeadlineExceeded {
-                        elapsed: start.elapsed(),
-                        deadline: policy.deadline.unwrap_or_default(),
-                    })
-                } else {
-                    Err(SolveError::BackendPanic {
-                        backend: QUERYINDEX,
-                        payload: payload_to_string(&*payload),
-                    })
-                }
-            }
-        }
+        })
+        .map_err(|fault| fault.into_error(QUERYINDEX, &budget))??;
+        outcome.attempts.push(Attempt {
+            backend: QUERYINDEX,
+            outcome: AttemptOutcome::Completed,
+        });
+        let mut tel = Telemetry {
+            backend: QUERYINDEX,
+            kind: Some(problem.kind()),
+            evaluations: metered.evaluations(),
+            index_builds: 1,
+            index_bytes: ix.bytes(),
+            index_breakpoints: ix.breakpoints(),
+            guard: Some(outcome),
+            ..Telemetry::default()
+        };
+        tel.record_phase("index_build", t_build.elapsed().as_nanos());
+        tel.total_nanos = budget.start.elapsed().as_nanos();
+        Ok((ix, tel))
     }
 }
 
@@ -173,7 +133,7 @@ mod tests {
     use std::time::Duration;
 
     use monge_core::array2d::{Array2d, Dense, FnArray};
-    use monge_core::problem::Objective;
+    use monge_core::problem::{Objective, Structure};
 
     fn dispatcher() -> Dispatcher<i64> {
         Dispatcher::with_all_backends()

@@ -8,15 +8,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use monge_core::array2d::Dense;
+use monge_core::array2d::{Array2d, Dense};
 use monge_core::generators::random_monge_dense;
 use monge_core::guard::{
     BreakerState, FaultInjector, FaultPlan, GuardPolicy, RetryPolicy, SolveError,
 };
 use monge_core::problem::{Problem, Solution, Telemetry};
 use monge_parallel::{
-    Backend, Capabilities, Clock, Dispatcher, HealthConfig, HealthRegistry, SequentialBackend,
-    Tuning, VirtualClock,
+    Backend, BatchPolicy, Capabilities, Clock, Dispatcher, HealthConfig, HealthRegistry,
+    SequentialBackend, Tuning, VirtualClock,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -306,4 +306,72 @@ fn env_knobs_configure_breaker_and_retry() {
     let c = HealthConfig::from_env();
     std::env::remove_var("MONGE_BREAKER_WINDOW");
     assert_eq!(c.window, HealthConfig::DEFAULT.window);
+}
+
+/// A fresh default-registry dispatcher on its own virtual clock.
+fn fresh_dispatcher() -> (Dispatcher<i64>, Arc<HealthRegistry>) {
+    let clock = Arc::new(VirtualClock::new());
+    let registry = Arc::new(HealthRegistry::new(HealthConfig::DEFAULT, clock));
+    let d = Dispatcher::with_default_backends().with_health_registry(registry.clone());
+    (d, registry)
+}
+
+/// The `validator` and `brute` health rows: `(backend, state,
+/// window_failures, window_len)`.
+fn validator_and_brute(registry: &HealthRegistry) -> Vec<(&'static str, BreakerState, u32, u32)> {
+    registry
+        .snapshot()
+        .into_iter()
+        .filter(|s| s.backend == "validator" || s.backend == "brute")
+        .map(|s| (s.backend, s.state, s.window_failures, s.window_len))
+        .collect()
+}
+
+#[test]
+fn batch_members_and_index_builds_record_the_health_of_their_guarded_twin() {
+    let mut bad = monge(16, 16, 21);
+    let v = bad.entry(5, 5);
+    bad.set(5, 5, v + 1_000_000);
+    let p = Problem::row_minima(&bad);
+
+    // Quarantine: the guarded solve records the broken promise and the
+    // brute attempt; a one-member batch must record the same.
+    let quarantine = GuardPolicy::full_validation();
+    let (d, guarded) = fresh_dispatcher();
+    d.solve_guarded(&p, &quarantine)
+        .expect("quarantine answers");
+    let (d, batched) = fresh_dispatcher();
+    let results = d.solve_batch(
+        &[p],
+        BatchPolicy::default()
+            .with_guard(quarantine)
+            .without_calibration(),
+    );
+    assert!(results[0].is_ok(), "quarantined member answers");
+    let want = validator_and_brute(&guarded);
+    assert_eq!(
+        want,
+        vec![
+            ("brute", BreakerState::Closed, 0, 1),
+            ("validator", BreakerState::Closed, 1, 1),
+        ]
+    );
+    assert_eq!(validator_and_brute(&batched), want, "batch member");
+
+    // Fail: the guarded solve records only the broken promise; an index
+    // build over the same array must too.
+    let fail = GuardPolicy::full_validation().fail_on_violation();
+    let (d, guarded) = fresh_dispatcher();
+    assert!(matches!(
+        d.solve_guarded(&p, &fail),
+        Err(SolveError::StructureViolation(_))
+    ));
+    let (d, indexed) = fresh_dispatcher();
+    assert!(matches!(
+        d.build_index_guarded(&p, &fail),
+        Err(SolveError::StructureViolation(_))
+    ));
+    let want = validator_and_brute(&guarded);
+    assert_eq!(want, vec![("validator", BreakerState::Closed, 1, 1)]);
+    assert_eq!(validator_and_brute(&indexed), want, "index build");
 }

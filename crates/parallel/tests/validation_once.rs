@@ -3,11 +3,13 @@
 //! `Dispatcher::solve_guarded*` validates the structural promise
 //! exactly once per request, *before* walking the fallback chain —
 //! a panicking first backend must not buy a second validation pass.
-//! These tests pin that down two ways: by counting every entry read
-//! through a counting array (deterministic), and by checking the
-//! recorded `validation_nanos` stays a one-shot cost as the fallback
-//! depth grows (the batch admission path reuses the same validator, so
-//! this contract is what makes batched validation bookkeeping honest).
+//! Batch drains (fused or shed onto the guarded walk) and index builds
+//! pass through the same admission stage, so each must read the array
+//! for validation exactly as often as one guarded solve does. These
+//! tests pin that down two ways: by counting every entry read through
+//! a counting array (deterministic), and by checking the recorded
+//! `validation_nanos` stays a one-shot cost as the fallback depth
+//! grows.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -149,5 +151,62 @@ fn batch_admission_validates_once_per_request() {
     assert_eq!(
         batch_reads, loop_reads,
         "the batch admission pass reads more entries than a guarded solve"
+    );
+}
+
+/// Entry reads of one guarded solve of a fresh counting copy of `a`.
+fn guarded_solve_reads(a: &Dense<i64>, policy: &GuardPolicy) -> u64 {
+    let counted = CountingArray::new(a.clone());
+    Dispatcher::with_default_backends()
+        .solve_guarded_with(&Problem::row_minima(&counted), policy, Tuning::from_env())
+        .expect("guarded solve");
+    counted.reads()
+}
+
+#[test]
+fn shed_members_validate_once_per_request() {
+    use monge_parallel::BatchPolicy;
+
+    let mut rng = StdRng::seed_from_u64(0x0E0F);
+    let dense = random_monge_dense(24, 24, &mut rng);
+    let a = CountingArray::new(dense.clone());
+    let d = Dispatcher::with_default_backends();
+    // Every group overflows a zero cost cap, so the member is shed onto
+    // the guarded walk after batch admission validated it.
+    let policy = BatchPolicy::default()
+        .with_guard(GuardPolicy::full_validation())
+        .without_calibration()
+        .shed_above(0);
+    let report = d.solve_batch_report(&[Problem::row_minima(&a)], &policy);
+    assert_eq!(report.shed_groups, 1);
+    assert!(report.results[0].is_ok());
+    assert_eq!(
+        a.reads(),
+        guarded_solve_reads(&dense, &GuardPolicy::full_validation()),
+        "a shed member reads more entries than a guarded solve: validation re-ran on the walk"
+    );
+}
+
+#[test]
+fn index_builds_validate_once_per_request() {
+    let mut rng = StdRng::seed_from_u64(0x1011);
+    let dense = random_monge_dense(24, 24, &mut rng);
+    let d = Dispatcher::with_default_backends();
+    let build_reads = |policy: &GuardPolicy| {
+        let a = CountingArray::new(dense.clone());
+        d.build_index_guarded(&Problem::row_minima(&a), policy)
+            .expect("index build");
+        a.reads()
+    };
+    // What validation adds on top of each request's own work: the build
+    // reads every entry once, the solve whatever its engine reads.
+    let off = GuardPolicy::default();
+    let full = GuardPolicy::full_validation();
+    let index_validation = build_reads(&full) - build_reads(&off);
+    let solve_validation = guarded_solve_reads(&dense, &full) - guarded_solve_reads(&dense, &off);
+    assert!(solve_validation > 0, "full validation reads the array");
+    assert_eq!(
+        index_validation, solve_validation,
+        "an index build validates more (or less) than one guarded pass"
     );
 }
