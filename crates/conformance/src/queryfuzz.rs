@@ -108,10 +108,10 @@ impl Rect {
 /// The deterministic array for `(family, seed)`. Families mirror the
 /// solver fuzzer's stress mix: plateau-heavy (tie storms across
 /// canonical nodes), zero-slack (every quadrangle inequality tight),
-/// degenerate single-row/column shapes, inverse-Monge (the maxima
-/// lowering path), and `+∞`-staircase sentinels masked so the full
-/// array is still Monge (non-decreasing boundary — the absorbed
-/// sentinel keeps inequality (1.1) intact).
+/// degenerate single-row/column shapes, inverse-Monge, and
+/// `+∞`-staircase sentinels masked so the full array is still Monge
+/// (non-decreasing boundary — the absorbed sentinel keeps inequality
+/// (1.1) intact).
 ///
 /// # Panics
 ///

@@ -62,7 +62,7 @@
 //!   §1.2 Min/Max duality lowering ([`problem::lower_rows`]) that the
 //!   `monge-parallel` backend registry consumes.
 //! * [`queryindex`] — build-once / query-many submatrix serving: a
-//!   segment tree of SMAWK-computed breakpoint envelopes answering
+//!   segment tree of child-merged breakpoint envelopes answering
 //!   rectangle min/max queries with zero source-array evaluations
 //!   ([`queryindex::QueryIndex`]).
 

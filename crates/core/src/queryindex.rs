@@ -8,13 +8,18 @@
 //! The index is a segment tree over the row set. Each canonical node
 //! covering rows `[lo, hi)` stores, for both objectives, the node's
 //! **column-extrema envelope**: for every column `j`, the optimum of
-//! `a[lo..hi, j]` together with the smallest row attaining it. Because
-//! the transpose of a (inverse-)Monge array is (inverse-)Monge, the
-//! owning-row map `j → row(j)` is computed with the existing SMAWK
-//! layer — [`crate::smawk::row_minima_totally_monotone`] on the §1.2
-//! lowering of the transposed row-slab — and is monotone, so it
-//! compresses into a short list of **breakpoint segments** (constant
-//! owning row per segment, at most `min(hi-lo, n)` of them).
+//! `a[lo..hi, j]` together with the smallest row attaining it. A node's
+//! envelope is the column-by-column better of its two children's
+//! envelopes, so the build is bottom-up: a leaf is its own row, and an
+//! internal node merges its children, walking both segment lists in
+//! step and comparing the two owner rows' stored values per column (the
+//! lower child wins only when strictly better, so ties keep the smaller
+//! row). The merge takes the better of two exact envelopes, so it is
+//! exact for any array — it needs no total monotonicity, and `±∞`
+//! sentinel staircases take the same path. The owning-row map compresses
+//! into a short list of **breakpoint segments** (constant owning row per
+//! segment; for a Monge slab the map is monotone, so at most
+//! `min(hi-lo, n)` of them).
 //!
 //! Per segment the envelope keeps the lexicographically best cell
 //! `(value, row, col)`, and a sparse table over those champions answers
@@ -27,9 +32,10 @@
 //! `O(lg m · (lg n + B))` store reads each.
 //!
 //! The build evaluates each source entry exactly once (the row-store
-//! fill); every SMAWK pass and summary scan reads the store, not the
-//! source. Build loops call [`crate::guard::checkpoint`], so guarded
-//! builds honor deadlines and cancellation.
+//! fill, which also summarises each row's blocks); every merge and
+//! champion scan reads the store, not the source. The copy loop and
+//! every merge call [`crate::guard::checkpoint`], so guarded builds
+//! honor deadlines and cancellation.
 //!
 //! ```
 //! use monge_core::array2d::Dense;
@@ -48,11 +54,9 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::array2d::{Array2d, Dense, SubArray, Transpose};
+use crate::array2d::{Array2d, Dense};
 use crate::guard::{checkpoint, SolveError};
-use crate::problem::{lower_rows, mirror_indices, Objective, Structure};
-use crate::smawk::row_minima_totally_monotone;
-use crate::tiebreak::Tie;
+use crate::problem::{Objective, Structure};
 use crate::value::Value;
 
 /// Width of the row store's per-block summaries. Partial blocks at the
@@ -83,6 +87,14 @@ struct Cand<T> {
     value: T,
     row: u32,
     col: u32,
+}
+
+/// Is `a` strictly better than `b` under `objective` (total order)?
+fn better<T: Value>(a: T, b: T, objective: Objective) -> bool {
+    match objective {
+        Objective::Minimize => T::total_lt(a, b),
+        Objective::Maximize => T::total_lt(b, a),
+    }
 }
 
 impl<T: Value> Cand<T> {
@@ -126,39 +138,27 @@ struct RowStore<T> {
     bmin_col: Vec<u32>,
     bmax: Vec<T>,
     bmax_col: Vec<u32>,
-    /// Any `±∞` sentinel present? Sentinel-bearing arrays satisfy the
-    /// Monge inequality only in the absorbing arithmetic of
-    /// [`Value::add`], which is too weak for SMAWK's total-monotonicity
-    /// invariant (tied sentinels can move an argmin leftward), so the
-    /// envelope build swaps to a direct column sweep.
-    infinite: bool,
 }
 
 impl<T: Value> RowStore<T> {
+    /// Copies the source row by row, summarising each row's blocks in
+    /// the same pass while the row is still in cache.
     fn build(array: &dyn Array2d<T>) -> Self {
         let (m, n) = (array.rows(), array.cols());
-        let mut data = vec![T::ZERO; m * n];
-        for (i, row) in data.chunks_mut(n).enumerate() {
-            checkpoint();
-            array.fill_row(i, 0..n, row);
-        }
-        let dense = Dense::from_vec(m, n, data);
         let blocks_per_row = n.div_ceil(BLOCK);
+        let mut data = vec![T::ZERO; m * n];
         let mut bmin = Vec::with_capacity(m * blocks_per_row);
         let mut bmin_col = Vec::with_capacity(m * blocks_per_row);
         let mut bmax = Vec::with_capacity(m * blocks_per_row);
         let mut bmax_col = Vec::with_capacity(m * blocks_per_row);
-        let mut infinite = false;
-        for i in 0..m {
+        for (i, row) in data.chunks_mut(n).enumerate() {
             checkpoint();
-            let row = dense.row_view(i, 0..n).expect("dense rows are contiguous");
+            array.fill_row(i, 0..n, row);
             for (b, chunk) in row.chunks(BLOCK).enumerate() {
                 let base = (b * BLOCK) as u32;
                 let (mut lo, mut lo_col) = (chunk[0], base);
                 let (mut hi, mut hi_col) = (chunk[0], base);
-                infinite |= chunk[0].is_infinite();
                 for (off, &v) in chunk.iter().enumerate().skip(1) {
-                    infinite |= v.is_infinite();
                     if T::total_lt(v, lo) {
                         lo = v;
                         lo_col = base + off as u32;
@@ -175,18 +175,20 @@ impl<T: Value> RowStore<T> {
             }
         }
         RowStore {
-            dense,
+            dense: Dense::from_vec(m, n, data),
             blocks_per_row,
             bmin,
             bmin_col,
             bmax,
             bmax_col,
-            infinite,
         }
     }
 
-    fn value(&self, row: usize, col: usize) -> T {
-        self.dense.entry(row, col)
+    /// The stored row `row`, all columns.
+    fn row(&self, row: usize) -> &[T] {
+        self.dense
+            .row_view(row, 0..self.dense.cols())
+            .expect("dense rows are contiguous")
     }
 
     /// Leftmost optimum of the stored row over `cols` (non-empty).
@@ -196,10 +198,7 @@ impl<T: Value> RowStore<T> {
         debug_assert!(!cols.is_empty());
         let (lo, hi) = (cols.start, cols.end);
         let row_u32 = row as u32;
-        let slice = self
-            .dense
-            .row_view(row, 0..self.dense.cols())
-            .expect("dense rows are contiguous");
+        let slice = self.row(row);
         let scan_elems = |from: usize, to: usize, best: &mut Option<Cand<T>>| {
             for (off, &v) in slice[from..to].iter().enumerate() {
                 fold(
@@ -268,101 +267,71 @@ struct Envelope<T> {
 }
 
 impl<T: Value> Envelope<T> {
-    /// Builds the envelope of rows `[lo, hi)` from the store. Leaves
-    /// skip SMAWK entirely (one segment owned by the single row).
-    fn build(
-        store: &RowStore<T>,
-        structure: Structure,
-        objective: Objective,
-        rows: Range<usize>,
-    ) -> Self {
+    /// The envelope of the single row `row`: one segment.
+    fn leaf(store: &RowStore<T>, objective: Objective, row: usize) -> Self {
+        Self::finish(store, objective, vec![0], vec![row as u32])
+    }
+
+    /// The envelope of two adjacent row slabs, `up` directly above
+    /// `down`: per column the better of the two children's owners. The
+    /// lower child wins only when strictly better, so ties keep the
+    /// smaller row. Both children are exact column envelopes, so the
+    /// merge is exact for any array — it needs no monotonicity.
+    fn merge(store: &RowStore<T>, objective: Objective, up: &Self, down: &Self) -> Self {
         checkpoint();
         let n = store.dense.cols();
-        let (lo, hi) = (rows.start, rows.end);
-        if hi - lo == 1 {
-            let champ = store.scan(lo, 0..n, objective);
-            return Envelope {
-                starts: vec![0],
-                owner: vec![lo as u32],
-                best_val: vec![champ.value],
-                best_col: vec![champ.col],
-                table: Vec::new(),
-            };
-        }
-        // Column extrema of the slab = row extrema of its transpose,
-        // which is (inverse-)Monge whenever the source is. The §1.2
-        // lowering plus SMAWK yields, per column, the smallest owning
-        // row (Tie::Left on the transpose's columns = rows here).
-        //
-        // Sentinel-bearing arrays (`±∞` staircase masks) are Monge only
-        // under absorbing addition — SMAWK's monotone-argmin invariant
-        // can break where sentinels tie — so they take a direct
-        // column sweep instead (same lex rule, O(rows·cols) per node).
-        let owners: Vec<usize> = if store.infinite {
-            (0..n)
-                .map(|j| {
-                    let mut best = lo;
-                    for i in lo + 1..hi {
-                        let better = match objective {
-                            Objective::Minimize => {
-                                T::total_lt(store.value(i, j), store.value(best, j))
-                            }
-                            Objective::Maximize => {
-                                T::total_lt(store.value(best, j), store.value(i, j))
-                            }
-                        };
-                        if better {
-                            best = i;
-                        }
-                    }
-                    best - lo
-                })
-                .collect()
-        } else {
-            let slab = SubArray::new(&store.dense, lo..hi, 0..n);
-            let t = Transpose(&slab);
-            let (mut owners, mirror) =
-                lower_rows(&t, structure, objective, Tie::Left, |arr, tie| {
-                    row_minima_totally_monotone(&arr, tie)
-                });
-            if let Some(w) = mirror {
-                mirror_indices(&mut owners, w);
-            }
-            owners
-        };
-        let mut starts = Vec::new();
-        let mut owner = Vec::new();
-        let mut best_val = Vec::new();
-        let mut best_col = Vec::new();
-        for (j, &off) in owners.iter().enumerate() {
-            let row = (lo + off) as u32;
-            let v = store.value(lo + off, j);
-            if owner.last() == Some(&row) {
-                let s = best_val.len() - 1;
-                let better = match objective {
-                    Objective::Minimize => T::total_lt(v, best_val[s]),
-                    Objective::Maximize => T::total_lt(best_val[s], v),
-                };
-                if better {
-                    best_val[s] = v;
-                    best_col[s] = j as u32;
+        let (mut starts, mut owner) = (Vec::new(), Vec::<u32>::new());
+        let (mut a, mut b, mut col) = (0, 0, 0);
+        while col < n {
+            let (ra, rb) = (up.owner[a], down.owner[b]);
+            let (a_end, b_end) = (up.end(a, n), down.end(b, n));
+            let end = a_end.min(b_end);
+            let va = &store.row(ra as usize)[col..end];
+            let vb = &store.row(rb as usize)[col..end];
+            for (j, (&x, &y)) in (col..).zip(va.iter().zip(vb)) {
+                let row = if better(y, x, objective) { rb } else { ra };
+                if owner.last() != Some(&row) {
+                    starts.push(j as u32);
+                    owner.push(row);
                 }
-            } else {
-                starts.push(j as u32);
-                owner.push(row);
-                best_val.push(v);
-                best_col.push(j as u32);
             }
+            a += usize::from(a_end == end);
+            b += usize::from(b_end == end);
+            col = end;
         }
+        Self::finish(store, objective, starts, owner)
+    }
+
+    /// Completes an envelope from its segments: each segment's champion
+    /// is its owner row's leftmost optimum over the segment, then the
+    /// sparse table over the champions.
+    fn finish(
+        store: &RowStore<T>,
+        objective: Objective,
+        starts: Vec<u32>,
+        owner: Vec<u32>,
+    ) -> Self {
         let mut env = Envelope {
             starts,
             owner,
-            best_val,
-            best_col,
+            best_val: Vec::new(),
+            best_col: Vec::new(),
             table: Vec::new(),
         };
+        let n = store.dense.cols();
+        for s in 0..env.starts.len() {
+            let cols = env.starts[s] as usize..env.end(s, n);
+            let champ = store.scan(env.owner[s] as usize, cols, objective);
+            env.best_val.push(champ.value);
+            env.best_col.push(champ.col);
+        }
         env.build_table(objective);
         env
+    }
+
+    /// One past the last column of segment `seg`.
+    fn end(&self, seg: usize, n: usize) -> usize {
+        self.starts.get(seg + 1).map_or(n, |&c| c as usize)
     }
 
     fn champion(&self, seg: usize) -> Cand<T> {
@@ -514,10 +483,11 @@ impl<T: Value> std::fmt::Debug for QueryIndex<T> {
 impl<T: Value> QueryIndex<T> {
     /// Preprocesses `array` for rectangle min/max serving.
     ///
-    /// The build evaluates each source entry exactly once and runs
-    /// `O(m)` SMAWK passes over the internal store (`O(n lg m)` store
-    /// reads total). Loops call [`checkpoint`], so a guarded caller's
-    /// deadline or cancellation aborts mid-build.
+    /// The build evaluates each source entry exactly once, then merges
+    /// the `m - 1` internal nodes' envelopes from their children:
+    /// `O(m·n)` store comparisons plus one champion scan per segment.
+    /// The copy loop and each merge call [`checkpoint`], so a guarded
+    /// caller's deadline or cancellation aborts mid-build.
     ///
     /// # Errors
     ///
@@ -544,7 +514,7 @@ impl<T: Value> QueryIndex<T> {
         }
         let store = RowStore::build(array);
         let mut nodes = Vec::with_capacity(2 * m);
-        let root = Self::build_node(&mut nodes, &store, structure, 0, m);
+        let root = Self::build_node(&mut nodes, &store, 0, m);
         let breakpoints = nodes
             .iter()
             .map(|nd| (nd.min_env.starts.len() + nd.max_env.starts.len()) as u64)
@@ -560,25 +530,28 @@ impl<T: Value> QueryIndex<T> {
         })
     }
 
-    fn build_node(
-        nodes: &mut Vec<Node<T>>,
-        store: &RowStore<T>,
-        structure: Structure,
-        lo: usize,
-        hi: usize,
-    ) -> u32 {
-        checkpoint();
-        let (left, right) = if hi - lo == 1 {
-            (NONE, NONE)
+    /// Builds the subtree over rows `[lo, hi)` children first, so each
+    /// internal node merges its children's finished envelopes.
+    fn build_node(nodes: &mut Vec<Node<T>>, store: &RowStore<T>, lo: usize, hi: usize) -> u32 {
+        let (left, right, min_env, max_env) = if hi - lo == 1 {
+            (
+                NONE,
+                NONE,
+                Envelope::leaf(store, Objective::Minimize, lo),
+                Envelope::leaf(store, Objective::Maximize, lo),
+            )
         } else {
             let mid = lo + (hi - lo) / 2;
+            let left = Self::build_node(nodes, store, lo, mid);
+            let right = Self::build_node(nodes, store, mid, hi);
+            let (up, down) = (&nodes[left as usize], &nodes[right as usize]);
             (
-                Self::build_node(nodes, store, structure, lo, mid),
-                Self::build_node(nodes, store, structure, mid, hi),
+                left,
+                right,
+                Envelope::merge(store, Objective::Minimize, &up.min_env, &down.min_env),
+                Envelope::merge(store, Objective::Maximize, &up.max_env, &down.max_env),
             )
         };
-        let min_env = Envelope::build(store, structure, Objective::Minimize, lo..hi);
-        let max_env = Envelope::build(store, structure, Objective::Maximize, lo..hi);
         nodes.push(Node {
             lo: lo as u32,
             hi: hi as u32,
@@ -740,6 +713,9 @@ impl<T: Value> QueryIndex<T> {
 mod tests {
     use super::*;
     use crate::array2d::Negate;
+    use crate::generators::{random_inverse_monge_dense, random_monge_dense};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     /// Brute rectangle optimum with the index's exact tie rule.
     fn brute<T: Value>(
@@ -906,5 +882,104 @@ mod tests {
         assert_eq!(ix.queries_answered(), 0);
         assert!(ix.bytes() > 0);
         assert!(ix.breakpoints() >= 2, "at least one segment per envelope");
+    }
+
+    /// Brute column envelope of rows `rows` as `(starts, owner,
+    /// best_val, best_col)`: per column the smallest row attaining the
+    /// optimum, maximal runs of one owner as segments, and each
+    /// segment's leftmost best cell as its champion.
+    #[allow(clippy::type_complexity)]
+    fn brute_envelope<T: Value>(
+        a: &Dense<T>,
+        rows: Range<usize>,
+        objective: Objective,
+    ) -> (Vec<u32>, Vec<u32>, Vec<T>, Vec<u32>) {
+        let (mut starts, mut owner, mut best_val, mut best_col) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for j in 0..a.cols() {
+            let mut row = rows.start;
+            for i in rows.clone() {
+                if better(a.entry(i, j), a.entry(row, j), objective) {
+                    row = i;
+                }
+            }
+            let v = a.entry(row, j);
+            if owner.last() == Some(&(row as u32)) {
+                let s = best_val.len() - 1;
+                if better(v, best_val[s], objective) {
+                    best_val[s] = v;
+                    best_col[s] = j as u32;
+                }
+            } else {
+                starts.push(j as u32);
+                owner.push(row as u32);
+                best_val.push(v);
+                best_col.push(j as u32);
+            }
+        }
+        (starts, owner, best_val, best_col)
+    }
+
+    /// Every node's two merged envelopes equal the brute envelopes of
+    /// its row slab, and `breakpoints()` counts exactly their segments.
+    fn assert_envelopes_exact(a: &Dense<i64>, structure: Structure) {
+        let ix = QueryIndex::build(a, structure).unwrap();
+        assert_eq!(ix.nodes.len(), 2 * a.rows() - 1);
+        let mut segments = 0u64;
+        for nd in &ix.nodes {
+            let rows = nd.lo as usize..nd.hi as usize;
+            for (env, objective) in [
+                (&nd.min_env, Objective::Minimize),
+                (&nd.max_env, Objective::Maximize),
+            ] {
+                let want = brute_envelope(a, rows.clone(), objective);
+                let got = (
+                    env.starts.clone(),
+                    env.owner.clone(),
+                    env.best_val.clone(),
+                    env.best_col.clone(),
+                );
+                assert_eq!(got, want, "rows {rows:?}, {objective:?}");
+                segments += want.0.len() as u64;
+            }
+        }
+        assert_eq!(ix.breakpoints(), segments);
+    }
+
+    #[test]
+    fn merged_envelopes_equal_the_brute_envelopes() {
+        let mut rng = StdRng::seed_from_u64(14);
+        for (m, n) in [
+            (16, 23),
+            (13, 40),
+            (1, 9),
+            (9, 1),
+            (1, 1),
+            (5, 2 * BLOCK + 9),
+        ] {
+            let a = random_monge_dense(m, n, &mut rng);
+            assert_envelopes_exact(&a, Structure::Monge);
+            let a = random_inverse_monge_dense(m, n, &mut rng);
+            assert_envelopes_exact(&a, Structure::InverseMonge);
+        }
+        // All-equal plateau: every column ties, so the top row owns all.
+        assert_envelopes_exact(&Dense::tabulate(11, 7, |_, _| 5i64), Structure::Monge);
+        // +∞ staircase with a non-decreasing boundary (the fuzzer's
+        // `monge-inf-sentinel` mask): Monge only under absorbing
+        // addition, so not totally monotone where sentinels tie.
+        for (m, n) in [(12, 17), (13, 6), (1, 8), (8, 1)] {
+            let base = random_monge_dense(m, n, &mut rng);
+            let mut f: Vec<usize> = (0..m).map(|_| rng.random_range(1..=n)).collect();
+            f.sort_unstable();
+            let a = Dense::tabulate(m, n, |i, j| {
+                if j >= f[i] {
+                    <i64 as Value>::INFINITY
+                } else {
+                    base.entry(i, j)
+                }
+            });
+            assert!(crate::monge::is_monge(&a));
+            assert_envelopes_exact(&a, Structure::Monge);
+        }
     }
 }

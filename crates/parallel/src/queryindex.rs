@@ -228,6 +228,25 @@ mod tests {
     }
 
     #[test]
+    fn deadline_expiring_during_the_copy_aborts_the_merges() {
+        // Only the last row's fill sleeps past the deadline, so every
+        // copy-pass checkpoint passes and the node merges must notice.
+        let a = FnArray::new(16, 16, |i, j| {
+            if (i, j) == (15, 0) {
+                std::thread::sleep(Duration::from_millis(200));
+            }
+            let d = i as i64 - j as i64;
+            d * d
+        });
+        let p = Problem::rows(&a, Structure::Monge, Objective::Minimize);
+        let policy = GuardPolicy::default().with_deadline(Duration::from_millis(20));
+        assert!(matches!(
+            dispatcher().build_index_guarded(&p, &policy),
+            Err(SolveError::DeadlineExceeded { .. })
+        ));
+    }
+
+    #[test]
     fn panicking_source_is_contained() {
         let a = FnArray::new(4, 4, |i, _| {
             assert!(i < 2, "poisoned row");
