@@ -581,6 +581,59 @@ fn tube_instance(kind: ProblemKind, seed: u64) -> Instance {
     }
 }
 
+/// A DIST-shaped tube instance for `(kind, seed)` (a tube kind): each
+/// factor row is infinite past a random monotone staircase, fully
+/// infinite rows included, as in the `∞`-padded DIST matrices of string
+/// editing. Minima pad with `+∞` left of a non-decreasing boundary;
+/// maxima with `-∞` right of a non-increasing one, which keeps the
+/// factors Monge.
+pub fn infinite_staircase_tube(kind: ProblemKind, seed: u64) -> Instance {
+    assert!(matches!(
+        kind,
+        ProblemKind::TubeMinima | ProblemKind::TubeMaxima
+    ));
+    let mut r = SplitMix64::new(seed);
+    let (p, q, rr) = (dim(&mut r, 8), dim(&mut r, 8), dim(&mut r, 8));
+    let minimize = kind == ProblemKind::TubeMinima;
+    let pad = |a: Dense<i64>, r: &mut SplitMix64| {
+        let n = a.cols();
+        let mut cut: Vec<usize> = (0..a.rows())
+            .map(|_| r.below(n as u64 + 1) as usize)
+            .collect();
+        cut.sort_unstable();
+        Dense::tabulate(a.rows(), n, |i, j| {
+            if minimize && j < cut[i] {
+                <i64 as Value>::INFINITY
+            } else if !minimize && j >= n - cut[i] {
+                <i64 as Value>::NEG_INFINITY
+            } else {
+                a.entry(i, j)
+            }
+        })
+    };
+    let d = monge_base(p, q, &mut r, 300, 10, 1);
+    let d = pad(d, &mut r);
+    let e = monge_base(q, rr, &mut r, 300, 10, 1);
+    let e = pad(e, &mut r);
+    Instance {
+        kind,
+        structure: Structure::Monge,
+        objective: if minimize {
+            Objective::Minimize
+        } else {
+            Objective::Maximize
+        },
+        tie: Tie::Left,
+        a: d,
+        e: Some(e),
+        boundary: None,
+        lo: None,
+        hi: None,
+        rank: None,
+        family: "tube-inf-staircase",
+    }
+}
+
 /// Generates the deterministic instance for `(kind, seed)`.
 pub fn generate(kind: ProblemKind, seed: u64) -> Instance {
     match kind {
@@ -617,6 +670,25 @@ mod tests {
             assert_eq!(a.a.data(), b.a.data());
             assert_eq!(a.boundary, b.boundary);
             assert_eq!(a.family, b.family);
+        }
+    }
+
+    #[test]
+    fn infinite_staircase_tubes_are_valid_and_padded() {
+        for kind in [ProblemKind::TubeMinima, ProblemKind::TubeMaxima] {
+            let mut padded = 0;
+            for seed in 0..200 {
+                let inst = infinite_staircase_tube(kind, seed);
+                assert!(inst.valid(), "{kind:?} seed {seed} is not Monge");
+                let e = inst.e.as_ref().unwrap();
+                padded += inst
+                    .a
+                    .data()
+                    .iter()
+                    .chain(e.data())
+                    .any(|v| v.is_infinite()) as usize;
+            }
+            assert!(padded >= 150, "{kind:?}: {padded} of 200 padded");
         }
     }
 

@@ -7,8 +7,11 @@
 //! 500 — the quick-CI budget; the nightly job raises it).
 
 use monge_conformance::corpus;
-use monge_conformance::fuzz::{conformance_dispatcher, fuzz_budget, fuzz_kind, PlantedBugBackend};
-use monge_conformance::gen::generate;
+use monge_conformance::fuzz::{
+    conformance_dispatcher, disagreeing_backends, fuzz_budget, fuzz_kind, PlantedBugBackend,
+    TINY_GRAIN,
+};
+use monge_conformance::gen::{generate, infinite_staircase_tube};
 use monge_core::array2d::Array2d;
 use monge_core::guard::{AttemptOutcome, FaultInjector, FaultPlan, GuardPolicy, SolveError};
 use monge_core::problem::{Problem, ProblemKind, Solution};
@@ -37,6 +40,33 @@ fn all_backends_agree_with_the_oracle_on_every_problem_kind() {
             report.mismatches[0].family,
             corpus::render(&report.mismatches[0].instance, "shrunk reproducer"),
         );
+    }
+}
+
+/// DIST-shaped tubes, both factors infinite past a monotone staircase,
+/// on every eligible backend but the hypercube simulator: its
+/// doubly-monotone divide & conquer clips each window by neighbouring
+/// optima even when they are infinite, and is wrong on these inputs
+/// (an open item in ROADMAP.md).
+#[test]
+fn infinite_staircase_tubes_agree_with_the_oracle() {
+    let d = conformance_dispatcher();
+    let budget = fuzz_budget(100);
+    for kind in [ProblemKind::TubeMinima, ProblemKind::TubeMaxima] {
+        for seed in 0..budget as u64 {
+            let inst = infinite_staircase_tube(kind, 0x1AF_0000 + seed);
+            for tuning in [Tuning::DEFAULT, TINY_GRAIN] {
+                let bad: Vec<String> = disagreeing_backends(&d, &inst, tuning)
+                    .into_iter()
+                    .filter(|b| b != "hypercube")
+                    .collect();
+                assert!(
+                    bad.is_empty(),
+                    "{kind:?} seed {seed}: {bad:?} disagree\n{}",
+                    corpus::render(&inst, "infinite staircase tube"),
+                );
+            }
+        }
     }
 }
 

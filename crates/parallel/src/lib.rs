@@ -59,7 +59,6 @@ pub mod pram_tube;
 pub mod queryindex;
 pub mod rayon_monge;
 pub mod rayon_staircase;
-pub mod rayon_tube;
 pub mod runtime;
 pub mod tuning;
 pub mod vector_array;

@@ -104,7 +104,12 @@ fn tube_engines_cross_check() {
     let e = random_monge_dense(12, 9, &mut rng);
     let want = monge::core::tube::tube_minima_brute(&d, &e);
     assert_eq!(monge::core::tube::tube_minima(&d, &e), want);
-    assert_eq!(monge::parallel::rayon_tube::par_tube_minima(&d, &e), want);
+    let disp = monge::parallel::Dispatcher::<i64>::with_default_backends();
+    let p = monge::core::problem::Problem::tube_minima(&d, &e);
+    let (rayon, _) = disp
+        .solve_on("rayon", &p, monge::parallel::Tuning::DEFAULT)
+        .expect("rayon tube backend");
+    assert_eq!(rayon.into_tube(), want);
     assert_eq!(
         monge::parallel::hc_tube::hc_tube_minima(&d, &e).extrema,
         want
